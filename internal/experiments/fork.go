@@ -137,7 +137,7 @@ func (wt *WarmTrial) RunCounterfactual(trialSeed uint64, sink *obs.Hub, ctx cont
 	wt.tw.w.Fork(wt.snap)
 	wt.tw.w.RekeyStreams(trialSeed)
 	baseline := wt.tw.effectProbe(wt.cfg)
-	if err := runFor(wt.tw.w, wt.cfg.SimBudget, ctx); err != nil {
+	if err := runFor(wt.tw.w, wt.cfg.SimBudget, ctx, nil); err != nil {
 		return CounterfactualOutcome{}, err
 	}
 	return CounterfactualOutcome{

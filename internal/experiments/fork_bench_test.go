@@ -13,9 +13,9 @@ import (
 // the CI gate keeps the forked path from regressing toward the fresh one.
 
 func benchCfg() TrialConfig {
-	// SimBudget is explicit: the 120 s default exists for slow sweeps'
-	// worst cases and would dominate both paths here; 2 s still covers
-	// the full MaxAttempts race with margin.
+	// A decided injection ends at the next 250 ms slice boundary, so the
+	// budget does not bound these trials; it caps only one whose effect
+	// never shows. 2 s still covers the full MaxAttempts race with margin.
 	return TrialConfig{Interval: 36, MaxAttempts: 40, SimBudget: 2 * sim.Second}
 }
 

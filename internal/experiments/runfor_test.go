@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"injectable/internal/obs"
 	"injectable/internal/sim"
 )
 
@@ -41,7 +43,7 @@ func TestRunForExactSliceChecksContextOnce(t *testing.T) {
 	tw, _ := buildTrialWorld(shortCfg().withDefaults())
 	ctx := &countingCtx{Context: context.Background()}
 	start := tw.w.Now()
-	if err := runFor(tw.w, runForSlice, ctx); err != nil {
+	if err := runFor(tw.w, runForSlice, ctx, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := sim.Duration(tw.w.Now() - start); got != runForSlice {
@@ -60,7 +62,7 @@ func TestRunForSlicePlusOneChecksContextTwice(t *testing.T) {
 	ctx := &countingCtx{Context: context.Background()}
 	d := runForSlice + 1 // one full slice plus a 1ns remainder
 	start := tw.w.Now()
-	if err := runFor(tw.w, d, ctx); err != nil {
+	if err := runFor(tw.w, d, ctx, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := sim.Duration(tw.w.Now() - start); got != d {
@@ -76,7 +78,7 @@ func TestRunForCancelDuringFinalSliceStillSucceeds(t *testing.T) {
 	// Cancellation becomes visible at the second check — after the only
 	// slice of a d == slice span has already been simulated to completion.
 	ctx := &lateCancelCtx{Context: context.Background(), cancelAt: 2}
-	if err := runFor(tw.w, runForSlice, ctx); err != nil {
+	if err := runFor(tw.w, runForSlice, ctx, nil); err != nil {
 		t.Fatalf("completed span failed with %v", err)
 	}
 }
@@ -85,7 +87,7 @@ func TestRunForCancelBeforeSecondSliceStopsEarly(t *testing.T) {
 	tw, _ := buildTrialWorld(shortCfg().withDefaults())
 	ctx := &lateCancelCtx{Context: context.Background(), cancelAt: 2}
 	start := tw.w.Now()
-	err := runFor(tw.w, runForSlice+1, ctx)
+	err := runFor(tw.w, runForSlice+1, ctx, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -99,7 +101,7 @@ func TestRunForCanceledUpfrontAdvancesNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := tw.w.Now()
-	if err := runFor(tw.w, runForSlice, ctx); err != context.Canceled {
+	if err := runFor(tw.w, runForSlice, ctx, nil); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if tw.w.Now() != start {
@@ -111,10 +113,186 @@ func TestRunForNilContextRunsWhole(t *testing.T) {
 	tw, _ := buildTrialWorld(shortCfg().withDefaults())
 	start := tw.w.Now()
 	d := 3*runForSlice + 7
-	if err := runFor(tw.w, d, nil); err != nil {
+	if err := runFor(tw.w, d, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := sim.Duration(tw.w.Now() - start); got != d {
 		t.Fatalf("advanced %v, want %v", got, d)
+	}
+}
+
+// doneAfter reports true once the world has advanced at least d past
+// start.
+func doneAfter(tw *trialWorld, start sim.Time, d sim.Duration) func() bool {
+	return func() bool { return sim.Duration(tw.w.Now()-start) >= d }
+}
+
+func TestRunForDoneStopsAtFirstBoundaryAfter(t *testing.T) {
+	for _, ctx := range []context.Context{nil, context.Background()} {
+		tw, _ := buildTrialWorld(shortCfg().withDefaults())
+		start := tw.w.Now()
+		// done turns true 600 ms in, inside the third slice: the span ends
+		// at that slice's boundary, not at 600 ms and not at d.
+		if err := runFor(tw.w, 40*runForSlice, ctx, doneAfter(tw, start, 600*sim.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		if got := sim.Duration(tw.w.Now() - start); got != 3*runForSlice {
+			t.Fatalf("ctx %v: advanced %v, want %v", ctx, got, 3*runForSlice)
+		}
+	}
+}
+
+func TestRunForDoneUpfrontAdvancesNothing(t *testing.T) {
+	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	start := tw.w.Now()
+	if err := runFor(tw.w, runForSlice, nil, func() bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if tw.w.Now() != start {
+		t.Fatal("a span already decided advanced the world")
+	}
+}
+
+func TestRunForNeverDoneRunsWholeAndChecksContextPerSlice(t *testing.T) {
+	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	ctx := &countingCtx{Context: context.Background()}
+	d := 3*runForSlice + 7
+	start := tw.w.Now()
+	if err := runFor(tw.w, d, ctx, func() bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.Duration(tw.w.Now() - start); got != d {
+		t.Fatalf("advanced %v, want %v", got, d)
+	}
+	if ctx.calls != 4 {
+		t.Fatalf("Err() called %d times for a four-slice span, want 4", ctx.calls)
+	}
+}
+
+func TestRunForDecidedSpanIgnoresLateCancel(t *testing.T) {
+	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	start := tw.w.Now()
+	// Cancellation shows from the second check on, by which point the
+	// span is decided: like a completed final slice, that is a finished
+	// simulation, not a canceled one.
+	ctx := &lateCancelCtx{Context: context.Background(), cancelAt: 2}
+	if err := runFor(tw.w, 40*runForSlice, ctx, doneAfter(tw, start, runForSlice)); err != nil {
+		t.Fatalf("decided span failed with %v", err)
+	}
+	if ctx.calls != 1 {
+		t.Fatalf("Err() called %d times, want 1 (done is consulted first)", ctx.calls)
+	}
+}
+
+// fig9Trial is exp1's first point (Hop Interval 25) at its first seed,
+// with the default 120 s budget.
+func fig9Trial() TrialConfig {
+	sp := exp1Points(Options{}.WithDefaults())[0]
+	cfg := sp.Cfg
+	cfg.Seed = sp.SeedBase
+	return cfg
+}
+
+// decidedSpan bounds how long a decided Fig. 9 trial may simulate: the
+// injection settles within a few connection events, so a trial that gets
+// anywhere near its 120 s budget has lost the stop rule.
+const decidedSpan = 5 * sim.Second
+
+func TestRunTrialStopsOnceDecided(t *testing.T) {
+	cfg := fig9Trial()
+	// Every simulated slice consults the context once, so the count is
+	// the simulated time in slices: warm-up included, it would be
+	// (3 s + 120 s) / 250 ms = 492 at full budget.
+	ctx := &countingCtx{Context: context.Background()}
+	cfg.Ctx = ctx
+	res, err := RunTrial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Success || !res.EffectObserved {
+		t.Fatalf("trial not decided as a success: %+v", res)
+	}
+	if simulated := sim.Duration(ctx.calls) * runForSlice; simulated > 3*sim.Second+decidedSpan {
+		t.Fatalf("trial simulated %v (%d slices), want at most warm-up + %v", simulated, ctx.calls, decidedSpan)
+	}
+}
+
+func TestRunForkStopsOnceDecidedWithUnchangedForensics(t *testing.T) {
+	cfg := fig9Trial()
+	wt, err := NewWarmTrial(cfg, WarmTrialSeed(cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := wt.tw.w.Now()
+	res, err := wt.RunFork(cfg.Seed, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Success || !res.EffectObserved {
+		t.Fatalf("trial not decided as a success: %+v", res)
+	}
+	span := sim.Duration(wt.tw.w.Now() - start)
+	if span > decidedSpan || span%runForSlice != 0 {
+		t.Fatalf("forked trial simulated %v, want a whole number of slices within %v", span, decidedSpan)
+	}
+	// The decision is final: running out the rest of the budget adds no
+	// attempt and changes no forensics record.
+	recs := append([]obs.InjectionRecord(nil), wt.Forensics()...)
+	attempts := counterValue(wt.hub.Snapshot(), "inject.attempts")
+	if err := runFor(wt.tw.w, wt.cfg.SimBudget-span, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wt.Forensics(), recs) {
+		t.Fatal("forensics ledger changed after the decision")
+	}
+	if got := counterValue(wt.hub.Snapshot(), "inject.attempts"); got != attempts {
+		t.Fatalf("inject.attempts moved from %d to %d after the decision", attempts, got)
+	}
+}
+
+// TestFullBudgetWhenUndecided covers the trials the stop rule must not
+// cut: an injection whose effect never shows, an IDS world (its alert
+// count covers the whole budget), and the goals whose results read the
+// world's end-of-budget state.
+func TestFullBudgetWhenUndecided(t *testing.T) {
+	frozen := ablationGuardPoints(Options{}.WithDefaults())[1]
+	if frozen.Label != "frozen" {
+		t.Fatalf("ablation-guard point 1 is %q, want frozen", frozen.Label)
+	}
+	frozen.Cfg.Seed = frozen.SeedBase
+	short := func(mut func(*TrialConfig)) TrialConfig {
+		cfg := fig9Trial()
+		cfg.SimBudget = 4 * sim.Second
+		mut(&cfg)
+		return cfg
+	}
+	cases := []struct {
+		name string
+		cfg  TrialConfig
+	}{
+		{"ablation-guard/frozen", frozen.Cfg},
+		{"ids", short(func(c *TrialConfig) { c.IDS = true })},
+		{GoalNone, short(func(c *TrialConfig) { c.Goal = GoalNone })},
+		{GoalUpdate, short(func(c *TrialConfig) { c.Goal = GoalUpdate })},
+		{GoalHijackSlave, short(func(c *TrialConfig) { c.Goal = GoalHijackSlave })},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wt, err := NewWarmTrial(tc.cfg, WarmTrialSeed(tc.cfg.Seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := wt.tw.w.Now()
+			res, err := wt.RunFork(tc.cfg.Seed, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "ablation-guard/frozen" && (res.Success || res.EffectObserved) {
+				t.Fatalf("frozen guard trial should fail without effect: %+v", res)
+			}
+			if span := sim.Duration(wt.tw.w.Now() - start); span != wt.cfg.SimBudget {
+				t.Fatalf("simulated %v, want the whole %v budget", span, wt.cfg.SimBudget)
+			}
+		})
 	}
 }

@@ -116,7 +116,12 @@ type TrialConfig struct {
 	Injector injectable.InjectorConfig
 	// MaxAttempts bounds the injection (0 = 200).
 	MaxAttempts int
-	// SimBudget bounds virtual time (0 = 120 s).
+	// SimBudget bounds virtual time (0 = 120 s). It is an upper bound: an
+	// inject-goal trial ends at the first 250 ms slice boundary where the
+	// injector has reported and the ground-truth effect has shown, unless
+	// the world carries the IDS. Undecided injections, IDS worlds and the
+	// none, hijack-slave, hijack-master, mitm and update goals run the
+	// whole budget, since their results read end-of-budget state.
 	SimBudget sim.Duration
 	// Obs collects metrics and injection forensics from the trial's world
 	// (nil = no observability; campaign runs thread their per-trial hub
@@ -397,7 +402,7 @@ func (tw *trialWorld) warm(cfg TrialConfig) error {
 		p.StartAdvertising()
 	}
 	tw.phone.Connect(tw.peripheral.Device.Address())
-	if err := runFor(tw.w, 3*sim.Second, cfg.Ctx); err != nil {
+	if err := runFor(tw.w, 3*sim.Second, cfg.Ctx, nil); err != nil {
 		return err
 	}
 	// In a crowded cell, bystander advertisements can collide with the
@@ -413,7 +418,7 @@ func (tw *trialWorld) warm(cfg TrialConfig) error {
 		}
 		if c := tw.phone.Central.Conn(); c != nil && !c.Closed() {
 			c.Terminate()
-			if err := runFor(tw.w, 500*sim.Millisecond, cfg.Ctx); err != nil {
+			if err := runFor(tw.w, 500*sim.Millisecond, cfg.Ctx, nil); err != nil {
 				return err
 			}
 		}
@@ -421,7 +426,7 @@ func (tw *trialWorld) warm(cfg TrialConfig) error {
 		tw.atk.Sniffer.Start()
 		tw.peripheral.StartAdvertising()
 		tw.phone.Connect(tw.peripheral.Device.Address())
-		if err := runFor(tw.w, 3*sim.Second, cfg.Ctx); err != nil {
+		if err := runFor(tw.w, 3*sim.Second, cfg.Ctx, nil); err != nil {
 			return err
 		}
 	}
@@ -512,7 +517,7 @@ func (tw *trialWorld) attack(cfg TrialConfig) (TrialResult, error) {
 	case "", GoalInject:
 		return tw.attackInject(cfg)
 	case GoalNone:
-		if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx); err != nil {
+		if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx, nil); err != nil {
 			return TrialResult{}, err
 		}
 		// Baseline world: nothing injected, so the heuristic trivially
@@ -546,7 +551,16 @@ func (tw *trialWorld) attackInject(cfg TrialConfig) (TrialResult, error) {
 	if err != nil {
 		return TrialResult{}, err
 	}
-	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx); err != nil {
+	// The trial is decided once the injector has reported and the
+	// ground-truth effect has latched: both are final, so the run stops at
+	// the next slice boundary instead of idling out the budget. A trial
+	// whose effect has not shown could still see it late, and an IDS
+	// world's alert count covers the whole budget, so those run it out.
+	var decided func() bool
+	if tw.monitor == nil {
+		decided = func() bool { return report != nil && effect() }
+	}
+	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx, decided); err != nil {
 		return TrialResult{}, err
 	}
 	if err := deferred(); err != nil {
@@ -581,7 +595,7 @@ func (tw *trialWorld) attackHijackSlave(cfg TrialConfig) (TrialResult, error) {
 	if err != nil {
 		return TrialResult{}, err
 	}
-	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx); err != nil {
+	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx, nil); err != nil {
 		return TrialResult{}, err
 	}
 	if err := deferred(); err != nil {
@@ -618,7 +632,7 @@ func (tw *trialWorld) attackHijackMaster(cfg TrialConfig) (TrialResult, error) {
 	if err != nil {
 		return TrialResult{}, err
 	}
-	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx); err != nil {
+	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx, nil); err != nil {
 		return TrialResult{}, err
 	}
 	if err := deferred(); err != nil {
@@ -656,7 +670,7 @@ func (tw *trialWorld) attackMITM(cfg TrialConfig) (TrialResult, error) {
 	if err != nil {
 		return TrialResult{}, err
 	}
-	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx); err != nil {
+	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx, nil); err != nil {
 		return TrialResult{}, err
 	}
 	if err := deferred(); err != nil {
@@ -686,7 +700,7 @@ func (tw *trialWorld) attackUpdate(cfg TrialConfig) (TrialResult, error) {
 	if err != nil {
 		return TrialResult{}, err
 	}
-	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx); err != nil {
+	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx, nil); err != nil {
 		return TrialResult{}, err
 	}
 	if err := deferred(); err != nil {
@@ -739,22 +753,29 @@ func RunTrial(cfg TrialConfig) (TrialResult, error) {
 	return tw.attack(cfg)
 }
 
-// runFor advances the world by d of virtual time. With a nil ctx it is
-// exactly w.RunFor(d); otherwise the span is walked in short slices with
-// a cancellation check before each one. Slicing is invisible to the
-// simulation: RunUntil processes every event up to each boundary and the
-// same events fire in the same order as one contiguous run. A span whose
-// final slice completes is a finished simulation — cancellation arriving
-// during it does not fail the call.
-func runFor(w *host.World, d sim.Duration, ctx context.Context) error {
-	if ctx == nil {
+// runFor advances the world by d of virtual time. With a nil ctx and a
+// nil done it is exactly w.RunFor(d); otherwise the span is walked in
+// short slices, and before each one done is consulted, then ctx. Slicing
+// is invisible to the simulation: RunUntil processes every event up to
+// each boundary and the same events fire in the same order as one
+// contiguous run. A span whose final slice completes is a finished
+// simulation — cancellation arriving during it does not fail the call —
+// and so is a span cut at the first boundary where done reports true: the
+// caller's result is decided and the rest of the span cannot change it.
+func runFor(w *host.World, d sim.Duration, ctx context.Context, done func() bool) error {
+	if ctx == nil && done == nil {
 		w.RunFor(d)
 		return nil
 	}
 	const slice = 250 * sim.Millisecond
 	for d > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
+		if done != nil && done() {
+			return nil
+		}
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
 		step := d
 		if step > slice {

@@ -208,7 +208,10 @@ type Defense struct {
 
 // Run bounds the simulation.
 type Run struct {
-	// SimSeconds is the per-trial virtual-time budget (0 = 120).
+	// SimSeconds is the per-trial virtual-time budget (0 = 120). It is an
+	// upper bound: an inject-goal trial ends once it is decided (see
+	// experiments.TrialConfig.SimBudget). The other goals, IDS worlds and
+	// injections whose effect never shows run the whole budget.
 	SimSeconds float64 `json:"sim_seconds,omitempty"`
 }
 

@@ -14,9 +14,9 @@ import (
 // stays valid for any reader still holding it — eviction only drops the
 // cache's reference, never mutates the slab.
 type cached struct {
-	// jobID is the job that produced the stream. Terminal jobs are never
-	// evicted from the server's job table, so a cache hit hands back the
-	// original job and replays its sealed buffer zero-copy.
+	// jobID is the job that produced the stream. The server keeps that
+	// job in its table until the stream is evicted, so a cache hit hands
+	// back the original job and replays its sealed buffer zero-copy.
 	jobID string
 	// slab is the full binary trial stream, immutable once cached.
 	slab []byte
@@ -66,6 +66,9 @@ type resultCache struct {
 	max     int
 	order   *list.List // front = most recent; values are cache keys
 	entries map[string]*cacheEntry
+	// onEvict, when set, is called with the cache lock held for every
+	// stream put evicts.
+	onEvict func(*cached)
 }
 
 type cacheEntry struct {
@@ -111,7 +114,11 @@ func (c *resultCache) put(key string, val *cached) {
 	for len(c.entries) > c.max {
 		last := c.order.Back()
 		c.order.Remove(last)
-		delete(c.entries, last.Value.(string))
+		k := last.Value.(string)
+		if c.onEvict != nil {
+			c.onEvict(c.entries[k].val)
+		}
+		delete(c.entries, k)
 	}
 }
 

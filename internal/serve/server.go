@@ -94,9 +94,12 @@ type Server struct {
 	wg    sync.WaitGroup
 	log   *slog.Logger
 
-	mu       sync.Mutex
-	jobs     map[string]*job // by id, including terminal jobs
-	live     map[string]*job // by spec key, queued or running only
+	mu   sync.Mutex
+	jobs map[string]*job // by id: live jobs plus the retained terminal ones
+	live map[string]*job // by spec key, queued or running only
+	// uncached holds the ids of retained terminal jobs whose streams were
+	// never cached (failed, canceled, timed out), oldest first.
+	uncached []string
 	inflight int
 	draining bool
 }
@@ -113,6 +116,9 @@ func NewServer(cfg Config) *Server {
 		live:  map[string]*job{},
 		log:   obs.LoggerOr(cfg.Log),
 	}
+	// A completed job stays addressable exactly as long as the cache holds
+	// its stream; the cache calls this under s.mu (see retire).
+	s.cache.onEvict = func(c *cached) { delete(s.jobs, c.jobID) }
 	s.routes()
 	for i := 0; i < cfg.JobWorkers; i++ {
 		s.wg.Add(1)
@@ -167,10 +173,11 @@ func (s *Server) submit(spec JobSpec, trace string) (*job, string, error) {
 		return j, "join", nil
 	}
 	if c, ok := s.cache.get(key); ok {
-		// Terminal jobs are never dropped from s.jobs, so the job that
-		// produced the cached slab is still here; hand it back and let the
-		// HTTP layer replay its sealed buffer zero-copy. No fresh job, no
-		// context, no 40 KB copy — this is the serving hot path.
+		// A cached stream's job stays in s.jobs until the cache evicts the
+		// stream, so the job that produced the slab is still here; hand it
+		// back and let the HTTP layer replay its sealed buffer zero-copy.
+		// No fresh job, no context, no 40 KB copy — this is the serving
+		// hot path.
 		if j, live := s.jobs[c.jobID]; live {
 			s.reg().Counter("serve.cache_hits").Inc()
 			s.cfg.Hub.Spans().Add(obs.Mark(trace, "cache-hit", "job", j.id, "key", key))
@@ -226,13 +233,16 @@ func (s *Server) runJob(j *job) {
 	s.cfg.Hub.Spans().Add(obs.NewSpan(j.trace, "queue", j.submitted,
 		"job", j.id, "experiment", j.spec.Experiment))
 
-	finish := func(status JobStatus, errMsg string) {
+	// finish makes the job terminal; entry is its cacheable stream, nil
+	// when the run did not complete cleanly.
+	finish := func(status JobStatus, errMsg string, entry *cached) {
 		j.buf.seal()
 		j.setStatus(status, errMsg)
 		s.mu.Lock()
 		if s.live[j.key] == j {
 			delete(s.live, j.key)
 		}
+		s.retire(j, entry)
 		s.mu.Unlock()
 		switch status {
 		case StatusDone:
@@ -251,13 +261,13 @@ func (s *Server) runJob(j *job) {
 	}
 
 	if j.canceledCtx.Err() != nil {
-		finish(StatusCanceled, "canceled while queued")
+		finish(StatusCanceled, "canceled while queued", nil)
 		return
 	}
 
 	cspec, err := s.cfg.Registry.Build(j.spec)
 	if err != nil {
-		finish(StatusFailed, err.Error())
+		finish(StatusFailed, err.Error(), nil)
 		return
 	}
 
@@ -282,13 +292,13 @@ func (s *Server) runJob(j *job) {
 	out, err := runner.RunContext(ctx, cspec)
 	switch {
 	case errors.Is(err, context.Canceled):
-		finish(StatusCanceled, "canceled")
+		finish(StatusCanceled, "canceled", nil)
 		return
 	case errors.Is(err, context.DeadlineExceeded):
-		finish(StatusFailed, "deadline exceeded")
+		finish(StatusFailed, "deadline exceeded", nil)
 		return
 	case err != nil:
-		finish(StatusFailed, err.Error())
+		finish(StatusFailed, err.Error(), nil)
 		return
 	}
 	// Only a cleanly completed stream is cacheable: cancellation and
@@ -296,17 +306,35 @@ func (s *Server) runJob(j *job) {
 	// replay must be byte-identical to a fresh run.
 	for _, res := range out.Results {
 		if res.TimedOut {
-			finish(StatusDone, "")
+			finish(StatusDone, "", nil)
 			return
 		}
 	}
 	j.buf.seal()
+	var entry *cached
 	if slab, ok := j.buf.sealedBytes(); ok {
 		// The sealed buffer is immutable, so the cache can adopt it
 		// without copying; hits replay the same slab zero-copy.
-		s.cache.put(j.key, &cached{jobID: j.id, slab: slab})
+		entry = &cached{jobID: j.id, slab: slab}
 	}
-	finish(StatusDone, "")
+	finish(StatusDone, "", entry)
+}
+
+// retire files a terminal job; s.mu must be held. A cached stream keeps
+// its job in s.jobs until the cache evicts it. Of the jobs whose streams
+// were never cached, the newest CacheEntries stay queryable and the
+// oldest is dropped first, so the table holds at most twice CacheEntries
+// terminal jobs beside the live ones.
+func (s *Server) retire(j *job, entry *cached) {
+	if entry != nil {
+		s.cache.put(j.key, entry)
+		return
+	}
+	s.uncached = append(s.uncached, j.id)
+	if len(s.uncached) > s.cfg.CacheEntries {
+		delete(s.jobs, s.uncached[0])
+		s.uncached = s.uncached[1:]
+	}
 }
 
 // inflightDelta adjusts and returns the in-flight job count.

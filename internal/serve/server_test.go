@@ -578,3 +578,106 @@ func TestLoadgenSelf(t *testing.T) {
 		t.Error("table missing cache hit ratio row")
 	}
 }
+
+// TestJobTableBounded: the job table forgets a completed job when the
+// cache evicts its stream, and keeps only the newest CacheEntries jobs
+// whose streams were never cached, so daemon memory stays bounded however
+// many jobs it serves.
+func TestJobTableBounded(t *testing.T) {
+	const entries = 4
+	reg := stubRegistry(nil, nil, nil)
+	reg.Register(Entry{
+		Name: "broken",
+		Build: func(JobSpec) (*campaign.Spec, error) {
+			return nil, fmt.Errorf("broken by design")
+		},
+	})
+	s := NewServer(Config{Registry: reg, Hub: obs.NewHub(), CacheEntries: entries, JobWorkers: 2, TrialWorkers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// settle waits for every job to leave the live set (retired into the
+	// cache or the uncached list) and returns the table and live sizes.
+	settle := func() (jobs, live int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			s.mu.Lock()
+			jobs, live = len(s.jobs), len(s.live)
+			s.mu.Unlock()
+			if live == 0 || time.Now().After(deadline) {
+				return jobs, live
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	status := func(id string) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// serveAll runs n distinct jobs one by one, checking the table never
+	// holds more than bound terminal jobs.
+	serveAll := func(experiment string, n int, base uint64, bound int) []string {
+		t.Helper()
+		var ids []string
+		for i := 0; i < n; i++ {
+			j, disp, err := s.Submit(JobSpec{Experiment: experiment, Trials: 2, SeedBase: base + uint64(i)})
+			if err != nil || disp != "miss" {
+				t.Fatalf("%s job %d: disposition %q, err %v", experiment, i, disp, err)
+			}
+			<-j.done
+			ids = append(ids, j.id)
+			if jobs, live := settle(); jobs > bound+live {
+				t.Fatalf("after %s job %d the table holds %d jobs (%d live), want at most %d plus the live ones",
+					experiment, i, jobs, live, bound)
+			}
+		}
+		return ids
+	}
+
+	done := serveAll("stub", 20, 500, entries)
+	if got := status(done[0]); got != http.StatusNotFound {
+		t.Errorf("evicted job GET = %d, want 404", got)
+	}
+	newest := done[len(done)-1]
+	if got := status(newest); got != http.StatusOK {
+		t.Errorf("cached job GET = %d, want 200", got)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"experiment":"stub","trials":2,"seed_base":519}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info JobInfo
+	err = json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Header.Get("X-Cache") != "hit" || info.ID != newest {
+		t.Errorf("cached spec resubmitted: X-Cache %q, job %s; want hit on the original job %s",
+			resp.Header.Get("X-Cache"), info.ID, newest)
+	}
+
+	// Failed jobs are never cached; only the newest CacheEntries of them
+	// stay queryable, beside the cached ones.
+	failed := serveAll("broken", 10, 700, 2*entries)
+	if jobs, _ := settle(); jobs != 2*entries {
+		t.Errorf("table holds %d jobs, want %d cached plus %d failed", jobs, entries, entries)
+	}
+	if got := status(failed[0]); got != http.StatusNotFound {
+		t.Errorf("oldest failed job GET = %d, want 404", got)
+	}
+	if got := status(failed[len(failed)-1]); got != http.StatusOK {
+		t.Errorf("newest failed job GET = %d, want 200", got)
+	}
+	if got := status(newest); got != http.StatusOK {
+		t.Errorf("failed jobs pushed out cached job %s: GET = %d, want 200", newest, got)
+	}
+}
