@@ -56,7 +56,7 @@ func TestDeterminismIndependentOfGCAndWorkers(t *testing.T) {
 
 // TestForkDeterminismMatrix is the fork path's differential harness run at
 // campaign scale: for several ablation dimensions (payload, phone-grade
-// clock, wall, capture model), the full sweep pipeline — campaign engine,
+// clock, wall, capture models), the full sweep pipeline — campaign engine,
 // per-trial obs hubs, NDJSON and metrics encoders — must emit byte-for-byte
 // identical streams whether trials fork a per-worker snapshot ("shared") or
 // build fresh worlds with the shared warm seed ("shared-fresh"), at any
@@ -96,6 +96,14 @@ func TestForkDeterminismMatrix(t *testing.T) {
 		{"capture-coinflip", func() TrialConfig {
 			c := base
 			c.Capture = medium.CoinFlip{P: 0.35}
+			return c
+		}},
+		// One phase-capture model shared by every world of the point, as
+		// the capture ablation builds it: under -race this catches a
+		// restore in one worker rewriting the model another worker reads.
+		{"capture-phase", func() TrialConfig {
+			c := base
+			c.Capture = medium.DefaultCaptureModel()
 			return c
 		}},
 	}

@@ -287,7 +287,7 @@ func buildTrialWorld(cfg TrialConfig) (*trialWorld, error) {
 	w := host.NewWorld(host.WorldConfig{
 		Seed: cfg.Seed,
 		Medium: medium.Config{
-			PathLoss: &phy.LogDistance{Walls: cfg.Walls},
+			PathLoss: phy.LogDistance{Walls: cfg.Walls},
 			Capture:  cfg.Capture,
 		},
 		Obs:   cfg.Obs,

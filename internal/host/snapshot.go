@@ -23,17 +23,22 @@ func (w *World) AddSnapshotRoot(roots ...any) {
 	w.roots = append(w.roots, roots...)
 }
 
-// Snapshot deep-captures the world. The capture is cheap relative to the
-// warm-up it amortises (one typed copy per reachable object) and does not
-// disturb the world: simulation can continue immediately.
-func (w *World) Snapshot() *Snapshot {
-	roots := make([]any, 0, 2+len(w.devices)+len(w.roots))
+// SnapshotRoots returns the roots a Snapshot captures: the world itself,
+// every device, and every root registered with AddSnapshotRoot.
+func (w *World) SnapshotRoots() []any {
+	roots := make([]any, 0, 1+len(w.devices)+len(w.roots))
 	roots = append(roots, w)
 	for _, d := range w.devices {
 		roots = append(roots, d)
 	}
-	roots = append(roots, w.roots...)
-	return &Snapshot{w: w, cap: sim.CaptureRoots(roots...)}
+	return append(roots, w.roots...)
+}
+
+// Snapshot deep-captures the world. The capture is cheap relative to the
+// warm-up it amortises (one typed copy per reachable object) and does not
+// disturb the world: simulation can continue immediately.
+func (w *World) Snapshot() *Snapshot {
+	return &Snapshot{w: w, cap: sim.CaptureRoots(w.SnapshotRoots()...)}
 }
 
 // Fork rolls this world back to the snapshot, beginning a new timeline
@@ -51,21 +56,20 @@ func (w *World) Fork(s *Snapshot) {
 	s.cap.Restore()
 }
 
-// RekeyStreams deterministically reseeds every random stream reachable in
-// the world — the world stream, per-device and clock streams, the medium's
-// stream, and streams held by registered snapshot roots — deriving each
-// stream's new seed from its own construction seed and salt. Two worlds
-// with identical stream identities rekeyed with the same salt produce
-// identical subsequent draws, which is what makes a forked trial
-// byte-identical to a fresh world warmed the same way and rekeyed with the
-// same salt. Call it immediately after Fork to give each forked trial
-// independent randomness.
+// RekeyStreams deterministically reseeds every random stream of the world
+// — the world stream and every stream derived from it: the medium's,
+// per-device, clock and SMP streams, including any held by registered
+// snapshot roots — deriving each stream's new seed from its own
+// construction seed and salt. It walks the world stream's registry
+// (sim.RNG.Streams), which the snapshot rolls back with the rest of the
+// world, so it costs one seed derivation per stream; a stream is seeded
+// only when next drawn. Two worlds with identical stream identities
+// rekeyed with the same salt produce identical subsequent draws, which is
+// what makes a forked trial byte-identical to a fresh world warmed the
+// same way and rekeyed with the same salt. Call it immediately after Fork
+// to give each forked trial independent randomness.
 func (w *World) RekeyStreams(salt uint64) {
-	roots := make([]any, 0, 2+len(w.devices)+len(w.roots))
-	roots = append(roots, w)
-	for _, d := range w.devices {
-		roots = append(roots, d)
+	for _, g := range w.RNG.Streams() {
+		g.Rekey(salt)
 	}
-	roots = append(roots, w.roots...)
-	sim.VisitRNGs(func(g *sim.RNG) { g.Rekey(salt) }, roots...)
 }

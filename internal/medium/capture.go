@@ -64,17 +64,19 @@ type PhaseCapture struct {
 }
 
 // DefaultCaptureModel returns the PhaseCapture tuning used throughout the
-// reproduction.
-func DefaultCaptureModel() *PhaseCapture {
-	return &PhaseCapture{BurstRate: 0.015, BeatScale: 3, FloorSIR: -20, FloorScale: 4}
+// reproduction. It is a value, like every model here: boxed as a value in
+// a medium's configuration it is out of reach of world snapshots, so one
+// model shared by many worlds is never rewritten by a restore.
+func DefaultCaptureModel() PhaseCapture {
+	return PhaseCapture{BurstRate: 0.015, BeatScale: 3, FloorSIR: -20, FloorScale: 4}
 }
 
-var _ CaptureModel = (*PhaseCapture)(nil)
+var _ CaptureModel = PhaseCapture{}
 
 // SurvivalProbability returns the closed-form survival probability. Exposed
 // so the sensitivity analysis can report the analytic curve next to the
 // simulated one.
-func (p *PhaseCapture) SurvivalProbability(sirDB float64, overlap sim.Duration) float64 {
+func (p PhaseCapture) SurvivalProbability(sirDB float64, overlap sim.Duration) float64 {
 	if overlap <= 0 {
 		return 1
 	}
@@ -85,12 +87,12 @@ func (p *PhaseCapture) SurvivalProbability(sirDB float64, overlap sim.Duration) 
 }
 
 // Survives implements CaptureModel.
-func (p *PhaseCapture) Survives(rng *sim.RNG, sirDB float64, overlap sim.Duration) bool {
+func (p PhaseCapture) Survives(rng *sim.RNG, sirDB float64, overlap sim.Duration) bool {
 	return rng.Bool(p.SurvivalProbability(sirDB, overlap))
 }
 
 // Name implements CaptureModel.
-func (p *PhaseCapture) Name() string { return "phase-capture" }
+func (p PhaseCapture) Name() string { return "phase-capture" }
 
 // Pessimistic corrupts on any body overlap regardless of power — the
 // assumption under which Santos et al. dismissed injection as impractical.

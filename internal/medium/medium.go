@@ -172,7 +172,7 @@ type Medium struct {
 // New creates a medium on the given scheduler.
 func New(sched *sim.Scheduler, rng *sim.RNG, cfg Config) *Medium {
 	if cfg.PathLoss == nil {
-		cfg.PathLoss = &phy.LogDistance{}
+		cfg.PathLoss = phy.LogDistance{}
 	}
 	if cfg.Capture == nil {
 		cfg.Capture = DefaultCaptureModel()

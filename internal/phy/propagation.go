@@ -111,6 +111,11 @@ type PathLossModel interface {
 //
 // where PL₀(2.44 GHz) ≈ 40.2 dB and n is the path-loss exponent (2 in free
 // space, 2–3 indoors).
+//
+// Pass it by value: boxed as a value in the medium's configuration, it is
+// out of reach of world snapshots, so worlds that share one Walls slice
+// (every world of a sweep point) never have a restore rewrite it while
+// another world reads it.
 type LogDistance struct {
 	// Exponent is the path-loss exponent n. Zero means 2.0.
 	Exponent float64
@@ -120,10 +125,10 @@ type LogDistance struct {
 	MinDistance float64
 }
 
-var _ PathLossModel = (*LogDistance)(nil)
+var _ PathLossModel = LogDistance{}
 
 // Loss implements PathLossModel.
-func (m *LogDistance) Loss(tx, rx Position, ch Channel) DBm {
+func (m LogDistance) Loss(tx, rx Position, ch Channel) DBm {
 	n := m.Exponent
 	if n == 0 {
 		n = 2.0

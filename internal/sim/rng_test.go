@@ -148,3 +148,84 @@ func TestRNGNormalMoments(t *testing.T) {
 		t.Fatalf("Normal(10,2) mean = %.3f", mean)
 	}
 }
+
+func TestRNGStreamsListsRegistry(t *testing.T) {
+	lone := NewRNG(5)
+	if s := lone.Streams(); len(s) != 1 || s[0] != lone {
+		t.Fatalf("lone root Streams() = %v, want just the root", s)
+	}
+	root := NewRNG(1)
+	a := root.Child("a")
+	b := a.ChildN("trial", 2) // a grandchild joins the root's registry
+	c := root.Child("c")
+	want := []*RNG{root, a, b, c}
+	for _, g := range []*RNG{root, a, b, c} {
+		got := g.Streams()
+		if len(got) != len(want) {
+			t.Fatalf("Streams() has %d streams, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Streams()[%d] is not the stream derived %d-th", i, i)
+			}
+		}
+	}
+	if len(lone.Streams()) != 1 {
+		t.Fatal("another root's derivations joined an unrelated registry")
+	}
+}
+
+func TestRNGSeedOnlyChainsBuildNoGenerator(t *testing.T) {
+	root := NewRNG(3)
+	_ = root.Child("point").Child("warm").Seed()
+	_ = root.Child("point").ChildN("trial", 4).Seed()
+	drawn := root.ChildN("trial", 5)
+	drawn.Uint64()
+	for i, g := range root.Streams() {
+		if built := g.r != nil; built != (g == drawn) {
+			t.Errorf("stream %d: generator built=%v, want %v (only drawn streams seed)", i, built, g == drawn)
+		}
+	}
+}
+
+func TestRNGRekeyTwiceBeforeDrawMatchesEagerRekeys(t *testing.T) {
+	draws := func(g *RNG) [6]uint64 {
+		var out [6]uint64
+		for i := range out[:5] {
+			out[i] = g.Uint64()
+		}
+		var b [3]byte
+		g.Bytes(b[:])
+		out[5] = uint64(b[0])<<16 | uint64(b[1])<<8 | uint64(b[2])
+		return out
+	}
+	// Eager: the generator is seeded the moment each rekey happens, as it
+	// was when Reseed seeded on the spot.
+	eager := NewRNG(7)
+	eager.seedSource()
+	eager.Rekey(11)
+	eager.seedSource()
+	eager.Rekey(12)
+	eager.seedSource()
+	want := draws(eager)
+
+	lazy := NewRNG(7)
+	lazy.Rekey(11)
+	lazy.Rekey(12)
+	// A stream that had drawn, leaving partial Read state, before both
+	// rekeys.
+	used := NewRNG(7)
+	used.Uint64()
+	var b [5]byte
+	used.Bytes(b[:])
+	used.Rekey(11)
+	used.Rekey(12)
+	for name, g := range map[string]*RNG{"never drawn": lazy, "drawn before": used} {
+		if g.Seed() != eager.Seed() {
+			t.Fatalf("%s: seed %#x, want %#x", name, g.Seed(), eager.Seed())
+		}
+		if got := draws(g); got != want {
+			t.Fatalf("%s: draws %v, want %v", name, got, want)
+		}
+	}
+}

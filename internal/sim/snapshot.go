@@ -36,7 +36,8 @@ type RNGSnapshot struct {
 
 // Snapshot captures the stream's exact position: the underlying generator
 // state is saved, so draws after Restore replay the identical sequence the
-// stream produced after the snapshot was taken.
+// stream produced after the snapshot was taken. The stream's registry is
+// captured with it, and through it every stream of the same family.
 func (g *RNG) Snapshot() *RNGSnapshot {
 	return &RNGSnapshot{g: g, cap: CaptureRoots(g)}
 }
@@ -53,10 +54,11 @@ func (g *RNG) Restore(snap *RNGSnapshot) {
 // Reseed re-initialises the stream in place to the exact state NewRNG(seed)
 // would produce, without replacing the *RNG object — every component
 // holding this stream sees the new sequence. This is how a forked world is
-// given fresh per-trial randomness after a snapshot restore.
+// given fresh per-trial randomness after a snapshot restore. Like NewRNG
+// it only records the seed; the next draw seeds the generator.
 func (g *RNG) Reseed(seed uint64) {
 	g.seed = seed
-	g.r.Seed(int64(seed))
+	g.seeded = false
 }
 
 // Rekey reseeds the stream with a seed derived from its own current seed

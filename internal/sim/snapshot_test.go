@@ -103,6 +103,41 @@ func TestRNGSnapshotRestoreReplaysStream(t *testing.T) {
 	}
 }
 
+func TestRNGSnapshotBeforeFirstDrawReplaysFreshStream(t *testing.T) {
+	fresh := NewRNG(21).Child("dev")
+	rekeyed := NewRNG(21).Child("dev")
+	rekeyed.Uint64() // the generator exists but waits to be reseeded
+	rekeyed.Rekey(5)
+	for name, g := range map[string]*RNG{"fresh": fresh, "rekeyed": rekeyed} {
+		snap := g.Snapshot()
+		first := [3]uint64{g.Uint64(), g.Uint64(), g.Uint64()}
+		g.Restore(snap)
+		ref := NewRNG(g.Seed())
+		for i := 0; i < 3; i++ {
+			got, want := g.Uint64(), ref.Uint64()
+			if got != want || got != first[i] {
+				t.Fatalf("%s: draw %d after restore = %d, want %d (NewRNG) and %d (before restore)",
+					name, i, got, want, first[i])
+			}
+		}
+	}
+}
+
+func TestRNGSnapshotRollsBackRegistry(t *testing.T) {
+	root := NewRNG(1)
+	a := root.Child("a")
+	snap := root.Snapshot()
+	root.Child("b")
+	a.ChildN("c", 1)
+	if n := len(root.Streams()); n != 4 {
+		t.Fatalf("%d streams before restore, want 4", n)
+	}
+	root.Restore(snap)
+	if s := root.Streams(); len(s) != 2 || s[0] != root || s[1] != a {
+		t.Fatalf("restored registry has %d streams, want the root and a", len(s))
+	}
+}
+
 func TestRNGReseedMatchesFreshStream(t *testing.T) {
 	g := NewRNG(7)
 	for i := 0; i < 100; i++ {

@@ -126,9 +126,9 @@ func CaptureRoots(roots ...any) *Capture {
 }
 
 // VisitRNGs walks the same graph CaptureRoots would and calls visit once
-// for every *RNG encountered. It captures nothing. Used to rekey every
-// random stream of a forked world without maintaining a manual stream
-// registry.
+// for every *RNG encountered. It captures nothing. It is the reference a
+// world's stream registry (RNG.Streams) is checked against: every stream
+// it reaches from a world's snapshot roots must be registered.
 func VisitRNGs(visit func(*RNG), roots ...any) {
 	w := &walker{
 		seen:     make(map[objKey]struct{}),
