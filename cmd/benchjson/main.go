@@ -15,9 +15,13 @@
 //   - allocs/op increased at all (allocation counts are deterministic, so
 //     any increase is a real regression), or
 //   - ns/op increased by more than -ns-threshold percent (default 30; CI
-//     timing is noisy, so this is a coarse tripwire, not a microscope).
+//     timing is noisy, so this is a coarse tripwire, not a microscope), or
+//   - a baseline row is missing from the run, or no row of the run
+//     matches a baseline row. Rows match by exact name, so record and
+//     check with the same -cpu setting (the committed baselines use
+//     -cpu 1, which adds no -N suffix).
 //
-// Benchmarks present on only one side are reported and skipped.
+// Run rows with no baseline are reported and skipped.
 package main
 
 import (

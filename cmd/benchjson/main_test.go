@@ -87,6 +87,30 @@ func TestRunCheckGateFailsOnAllocRegression(t *testing.T) {
 	}
 }
 
+func TestRunCheckGateFailsOnGoneRow(t *testing.T) {
+	onlyInject := "BenchmarkInject-8   \t    1000\t      1200 ns/op\t     128 B/op\t       3 allocs/op\n"
+	code, stdout, stderr := runBenchjson(t, onlyInject, "-check", baseline(t))
+	if code != 1 {
+		t.Fatalf("baseline row missing from the run: exit %d, want 1\n%s", code, stdout)
+	}
+	if !strings.Contains(stdout, "GONE  BenchmarkSniff-8") || !strings.Contains(stderr, "FAILED") {
+		t.Fatalf("report does not fail on the gone row:\n%s%s", stdout, stderr)
+	}
+}
+
+// The baseline rows carry a -8 suffix; a run at another GOMAXPROCS names
+// every row differently and must fail instead of comparing nothing.
+func TestRunCheckGateFailsWhenNothingMatches(t *testing.T) {
+	otherProcs := strings.ReplaceAll(benchOut, "-8 ", "-2 ")
+	code, stdout, stderr := runBenchjson(t, otherProcs, "-check", baseline(t))
+	if code != 1 {
+		t.Fatalf("run matching no baseline row: exit %d, want 1\n%s", code, stdout)
+	}
+	if !strings.Contains(stdout, "no benchmark in this run matches") || strings.Contains(stdout, "gate passed") {
+		t.Fatalf("report does not fail on zero matched rows:\n%s%s", stdout, stderr)
+	}
+}
+
 func TestRunCheckMissingBaseline(t *testing.T) {
 	if code, _, stderr := runBenchjson(t, benchOut, "-check", filepath.Join(t.TempDir(), "absent.json")); code != 2 ||
 		!strings.Contains(stderr, "baseline") {

@@ -34,10 +34,10 @@ func fuzzDB() *DB {
 
 func FuzzServerHandlePDU(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{2, byte(OpMTUReq), 64})                     // truncated MTU request
-	f.Add([]byte{3, byte(OpReadReq), 2, 0})                  // read handle 2
-	f.Add([]byte{7, byte(OpWriteReq), 2, 0, 'a', 'b', 'c'})  // write handle 2
-	f.Add([]byte{5, byte(OpFindInfoReq), 1, 0, 0xFF, 0xFF})  // find info sweep
+	f.Add([]byte{2, byte(OpMTUReq), 64})                      // truncated MTU request
+	f.Add([]byte{3, byte(OpReadReq), 2, 0})                   // read handle 2
+	f.Add([]byte{7, byte(OpWriteReq), 2, 0, 'a', 'b', 'c'})   // write handle 2
+	f.Add([]byte{5, byte(OpFindInfoReq), 1, 0, 0xFF, 0xFF})   // find info sweep
 	f.Add([]byte{7, byte(OpReadByTypeReq), 1, 0, 0xFF, 0xFF}) // truncated read-by-type
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s := NewServer(fuzzDB(), func(rsp []byte) {

@@ -118,8 +118,11 @@ type Report struct {
 
 // Compare gates cur against base. Allocation-count increases always fail;
 // ns/op increases beyond the threshold fail only when cfg.NSFatal is set
-// (timing on shared CI runners is too noisy for a strict gate). Benchmarks
-// missing from either side are listed but never fail the gate.
+// (timing on shared CI runners is too noisy for a strict gate). A baseline
+// row missing from the run fails, and so does a run that matches no
+// baseline row: rows match by exact name, so a renamed benchmark or a
+// -N GOMAXPROCS suffix would otherwise leave the gate comparing nothing.
+// A run row with no baseline is listed and skipped.
 func Compare(base, cur *Suite, cfg GateConfig) Report {
 	var rep Report
 	baseByName := map[string]Benchmark{}
@@ -139,6 +142,7 @@ func Compare(base, cur *Suite, cfg GateConfig) Report {
 		curByName[b.Name] = b
 	}
 
+	matched := 0
 	for _, name := range names {
 		c := curByName[name]
 		b, ok := baseByName[name]
@@ -146,6 +150,7 @@ func Compare(base, cur *Suite, cfg GateConfig) Report {
 			rep.Lines = append(rep.Lines, fmt.Sprintf("NEW   %s (no baseline, skipped)", name))
 			continue
 		}
+		matched++
 		if line, failed, ok := gateMetric(name, "allocs/op", b, c, cfg.AllocThresholdPct, true); ok {
 			rep.Lines = append(rep.Lines, line)
 			rep.Failed = rep.Failed || failed
@@ -163,6 +168,13 @@ func Compare(base, cur *Suite, cfg GateConfig) Report {
 	}
 	sort.Strings(gone)
 	rep.Lines = append(rep.Lines, gone...)
+	if len(gone) > 0 {
+		rep.Failed = true
+	}
+	if matched == 0 {
+		rep.Lines = append(rep.Lines, "FAIL  no benchmark in this run matches a baseline row")
+		rep.Failed = true
+	}
 	return rep
 }
 

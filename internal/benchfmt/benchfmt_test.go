@@ -128,14 +128,46 @@ func TestCompareImprovementPasses(t *testing.T) {
 
 func TestCompareMissingBenchmarksSkipped(t *testing.T) {
 	base := suiteOf(bench("BenchmarkOld", 100, 5))
-	cur := suiteOf(bench("BenchmarkNew", 100, 5))
+	cur := suiteOf(bench("BenchmarkOld", 100, 5), bench("BenchmarkNew", 100, 50))
 	rep := Compare(base, cur, GateConfig{NSThresholdPct: 30, NSFatal: true})
 	if rep.Failed {
-		t.Fatalf("disjoint benchmark sets failed the gate:\n%s", strings.Join(rep.Lines, "\n"))
+		t.Fatalf("a run row with no baseline failed the gate:\n%s", strings.Join(rep.Lines, "\n"))
 	}
 	joined := strings.Join(rep.Lines, "\n")
-	if !strings.Contains(joined, "NEW") || !strings.Contains(joined, "GONE") {
-		t.Fatalf("missing NEW/GONE markers:\n%s", joined)
+	if !strings.Contains(joined, "NEW   BenchmarkNew") {
+		t.Fatalf("missing NEW marker:\n%s", joined)
+	}
+}
+
+func TestCompareGoneBaselineRowFails(t *testing.T) {
+	base := suiteOf(bench("BenchmarkA", 100, 5), bench("BenchmarkB", 100, 5))
+	cur := suiteOf(bench("BenchmarkA", 100, 5))
+	rep := Compare(base, cur, GateConfig{NSThresholdPct: 30})
+	joined := strings.Join(rep.Lines, "\n")
+	if !rep.Failed {
+		t.Fatalf("a baseline row missing from the run passed the gate:\n%s", joined)
+	}
+	if !strings.Contains(joined, "GONE  BenchmarkB") {
+		t.Fatalf("missing GONE marker:\n%s", joined)
+	}
+}
+
+// A run at GOMAXPROCS > 1 names its rows with a -N suffix, so none match
+// a baseline recorded at -cpu 1: the gate must not pass on zero rows.
+func TestCompareNoMatchedRowFails(t *testing.T) {
+	for name, base := range map[string]*Suite{
+		"suffixed run": suiteOf(bench("BenchmarkA", 100, 5)),
+		"empty base":   suiteOf(),
+	} {
+		cur := suiteOf(bench("BenchmarkA-2", 100, 5))
+		rep := Compare(base, cur, GateConfig{NSThresholdPct: 30})
+		joined := strings.Join(rep.Lines, "\n")
+		if !rep.Failed {
+			t.Fatalf("%s: a run matching no baseline row passed the gate:\n%s", name, joined)
+		}
+		if !strings.Contains(joined, "no benchmark in this run matches") {
+			t.Fatalf("%s: report does not say nothing matched:\n%s", name, joined)
+		}
 	}
 }
 

@@ -1,9 +1,56 @@
 package crc
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// computeBitSerial is the reference CRC: the spec's LFSR stepped one bit at
+// a time, each byte least-significant bit first. Compute must agree with it
+// on every input.
+func computeBitSerial(init uint32, pdu []byte) uint32 {
+	lfsr := init & mask
+	for _, b := range pdu {
+		for bit := 0; bit < 8; bit++ {
+			in := uint32(b>>bit) & 1
+			fb := (lfsr >> 23) ^ in // bit shifted out XOR input bit
+			lfsr = (lfsr << 1) & mask
+			if fb != 0 {
+				lfsr ^= poly
+			}
+		}
+	}
+	return lfsr
+}
+
+// TestComputeMatchesBitSerial checks the table-driven Compute against the
+// bit-serial reference at every PDU length a BLE frame can carry (0–257
+// bytes) and on 200k random (init, pdu) pairs, and that RecoverInit inverts
+// it on each.
+func TestComputeMatchesBitSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	check := func(init uint32, pdu []byte) {
+		t.Helper()
+		got, want := Compute(init, pdu), computeBitSerial(init, pdu)
+		if got != want {
+			t.Fatalf("Compute(%#x, % x) = %06X, bit-serial %06X", init, pdu, got, want)
+		}
+		if back := RecoverInit(got, pdu); back != init&mask {
+			t.Fatalf("RecoverInit(Compute(%#x, % x)) = %06X", init, pdu, back)
+		}
+	}
+	buf := make([]byte, 257)
+	for n := 0; n <= 257; n++ {
+		rng.Read(buf[:n])
+		check(rng.Uint32(), buf[:n])
+	}
+	for i := 0; i < 200_000; i++ {
+		n := rng.Intn(len(buf) + 1)
+		rng.Read(buf[:n])
+		check(rng.Uint32(), buf[:n])
+	}
+}
 
 func TestComputeDeterministic(t *testing.T) {
 	pdu := []byte{0x01, 0x02, 0x03}
@@ -91,13 +138,31 @@ func TestComputeComposableProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkCompute27Bytes(b *testing.B) {
-	pdu := make([]byte, 27)
+// crcSink keeps the benchmarked calls from being optimised away.
+var crcSink uint32
+
+// benchPDU is the size of an ADV_IND with a full 31-byte payload: the
+// frame the advertising hot path checks most.
+func benchPDU() []byte {
+	pdu := make([]byte, 39)
 	for i := range pdu {
 		pdu[i] = byte(i)
 	}
+	return pdu
+}
+
+func BenchmarkCompute(b *testing.B) {
+	pdu := benchPDU()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Compute(0x555555, pdu)
+		crcSink = Compute(0x555555, pdu)
+	}
+}
+
+func BenchmarkComputeBitSerial(b *testing.B) {
+	pdu := benchPDU()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		crcSink = computeBitSerial(0x555555, pdu)
 	}
 }

@@ -46,6 +46,6 @@ func AdoptMaster(stack *Stack, params ConnParams, peer ble.Address, st AdoptionS
 	c.sn, c.nesn = st.SN, st.NESN
 	c.lastAnchor = st.LastAnchor
 	c.anchorKnown = true
-	c.scheduleAt(firstAnchorAt, "adopted-anchor", c.masterEventBody)
+	c.scheduleAt(firstAnchorAt, stack.label().adoptedAnchor, c.masterEventBody)
 	return c, nil
 }

@@ -33,6 +33,20 @@ type Advertiser struct {
 	epoch   uint64 // invalidates stale per-channel timers
 	pending []sim.EventRef
 
+	// rxClose is the timer that ends the listen after an ADV_IND, armed
+	// in rxCloseEpoch; it acts only if the epoch has not moved since.
+	rxClose      sim.EventRef
+	rxCloseEpoch uint64
+
+	// advInd and scanRsp are marshalled, CRC included, once per Start:
+	// neither the payloads nor the address change while the advertiser
+	// runs, and Radio.Transmit copies the PDU it sends.
+	advInd, scanRsp medium.Frame
+
+	// Callbacks bound once, so an advertising packet allocates none.
+	eventFn, txDoneFn, rxCloseFn func()
+	frameFn                      func(medium.Received)
+
 	// OnConnect fires when a CONNECT_REQ addressed to us establishes a
 	// slave connection.
 	OnConnect func(c *Conn)
@@ -43,7 +57,12 @@ func NewAdvertiser(stack *Stack, cfg AdvertiserConfig) *Advertiser {
 	if cfg.Interval == 0 {
 		cfg.Interval = 100 * sim.Millisecond
 	}
-	return &Advertiser{stack: stack, cfg: cfg}
+	a := &Advertiser{stack: stack, cfg: cfg}
+	a.eventFn = a.startEvent
+	a.txDoneFn = a.advTxDone
+	a.rxCloseFn = a.closeRx
+	a.frameFn = a.onFrame
+	return a
 }
 
 // Start begins advertising.
@@ -52,6 +71,10 @@ func (a *Advertiser) Start() {
 		return
 	}
 	a.running = true
+	adv := pdu.AdvInd{AdvAddr: a.stack.Address, AdvData: a.cfg.AdvData, ChSel: true}
+	a.advInd = advFrame(adv.Marshal())
+	rsp := pdu.ScanRsp{AdvAddr: a.stack.Address, ScanData: a.cfg.ScanData}
+	a.scanRsp = advFrame(rsp.Marshal())
 	a.stack.Radio.SetAccessAddress(uint32(ble.AdvertisingAccessAddress))
 	a.scheduleEvent(a.stack.RNG.Duration(5 * sim.Millisecond))
 }
@@ -69,11 +92,13 @@ func (a *Advertiser) Stop() {
 }
 
 func (a *Advertiser) scheduleEvent(d sim.Duration) {
-	ev := a.stack.Sched.After(d, a.stack.Name+":adv-event", func() {
-		a.chanIdx = 0
-		a.advertiseOnNext()
-	})
-	a.pending = append(a.pending, ev)
+	a.pending = appendPending(a.pending, a.stack.Sched.After(d, a.stack.label().advEvent, a.eventFn))
+}
+
+// startEvent opens an advertising event on the first channel.
+func (a *Advertiser) startEvent() {
+	a.chanIdx = 0
+	a.advertiseOnNext()
 }
 
 // advertiseOnNext transmits ADV_IND on the next advertising channel and
@@ -91,35 +116,42 @@ func (a *Advertiser) advertiseOnNext() {
 	ch := phy.AdvChannels()[a.chanIdx]
 	a.chanIdx++
 	a.stack.Radio.SetChannel(ch)
-
-	adv := pdu.AdvInd{AdvAddr: a.stack.Address, AdvData: a.cfg.AdvData, ChSel: true}
-	frame := advFrame(adv.Marshal())
-	a.stack.Radio.OnTxDone = func() {
-		a.stack.Radio.OnTxDone = nil
-		if !a.running {
-			return
-		}
-		a.stack.Radio.OnFrame = a.onFrame
-		a.stack.Radio.StartListening()
-		// Listen T_IFS + a CONNECT_REQ air time, then move on.
-		window := ble.TIFS + phy.LE1M.AirTime(36) + 20*sim.Microsecond
-		epoch := a.epoch
-		ev := a.stack.Sched.After(window, a.stack.Name+":adv-rx-close", func() {
-			if !a.running || a.epoch != epoch {
-				return // a frame arrived and moved the event along
-			}
-			if a.stack.Radio.Locked() || a.stack.Radio.Acquiring() {
-				return
-			}
-			a.stack.Radio.StopListening()
-			a.advertiseOnNext()
-		})
-		a.pending = append(a.pending, ev)
-	}
+	a.stack.Radio.OnTxDone = a.txDoneFn
 	a.stack.trace("adv-tx", func() []sim.Field {
 		return []sim.Field{sim.F("ch", ch)}
 	})
-	a.stack.Radio.Transmit(frame)
+	a.stack.Radio.Transmit(a.advInd)
+}
+
+// advTxDone opens the receiver after an ADV_IND, listening T_IFS + a
+// CONNECT_REQ air time before moving on.
+func (a *Advertiser) advTxDone() {
+	a.stack.Radio.OnTxDone = nil
+	if !a.running {
+		return
+	}
+	a.stack.Radio.OnFrame = a.frameFn
+	a.stack.Radio.StartListening()
+	window := ble.TIFS + phy.LE1M.AirTime(36) + 20*sim.Microsecond
+	// Every ADV_IND bumps the epoch before it is sent, so the previous
+	// rx-close, if still pending, is stale: cancel it rather than let it
+	// read the epoch armed here.
+	a.stack.Sched.Cancel(a.rxClose)
+	a.rxCloseEpoch = a.epoch
+	a.rxClose = a.stack.Sched.After(window, a.stack.label().advRxClose, a.rxCloseFn)
+	a.pending = appendPending(a.pending, a.rxClose)
+}
+
+// closeRx ends the listen after an ADV_IND and moves to the next channel.
+func (a *Advertiser) closeRx() {
+	if !a.running || a.epoch != a.rxCloseEpoch {
+		return // a frame arrived and moved the event along
+	}
+	if a.stack.Radio.Locked() || a.stack.Radio.Acquiring() {
+		return
+	}
+	a.stack.Radio.StopListening()
+	a.advertiseOnNext()
 }
 
 // onFrame handles SCAN_REQ and CONNECT_REQ while advertising.
@@ -144,9 +176,7 @@ func (a *Advertiser) onFrame(rx medium.Received) {
 			a.advertiseOnNext()
 			return
 		}
-		rsp := pdu.ScanRsp{AdvAddr: a.stack.Address, ScanData: a.cfg.ScanData}
-		frame := advFrame(rsp.Marshal())
-		a.stack.Clock.AtLocalOffset(rx.EndAt, ble.TIFS, a.stack.Name+":scan-rsp", func() {
+		a.stack.Clock.AtLocalOffset(rx.EndAt, ble.TIFS, a.stack.label().scanRsp, func() {
 			if !a.running {
 				return
 			}
@@ -154,7 +184,7 @@ func (a *Advertiser) onFrame(rx medium.Received) {
 				a.stack.Radio.OnTxDone = nil
 				a.advertiseOnNext()
 			}
-			a.stack.Radio.Transmit(frame)
+			a.stack.Radio.Transmit(a.scanRsp)
 		})
 	case pdu.ConnectReqType:
 		req, err := pdu.UnmarshalConnectReq(p.Payload)

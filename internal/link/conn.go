@@ -357,22 +357,24 @@ func (c *Conn) close(reason DisconnectReason) {
 	}
 }
 
-// schedule registers a cancellable timer.
-func (c *Conn) schedule(d sim.Duration, label string, fn func()) sim.EventRef {
-	ev := c.stack.Sched.After(d, c.stack.Name+":"+label, fn)
-	c.timers = append(c.timers, ev)
-	return ev
+// schedule registers a cancellable timer d from now.
+func (c *Conn) schedule(d sim.Duration, label string, fn func()) {
+	c.timers = appendPending(c.timers, c.stack.Sched.After(d, label, fn))
 }
 
 // scheduleAt registers a cancellable timer at an absolute time.
-func (c *Conn) scheduleAt(t sim.Time, label string, fn func()) sim.EventRef {
+func (c *Conn) scheduleAt(t sim.Time, label string, fn func()) {
 	now := c.stack.Sched.Now()
 	if t < now {
 		t = now
 	}
-	ev := c.stack.Sched.At(t, c.stack.Name+":"+label, fn)
-	c.timers = append(c.timers, ev)
-	return ev
+	c.timers = appendPending(c.timers, c.stack.Sched.At(t, label, fn))
+}
+
+// scheduleLocal registers a cancellable timer d after base, as measured
+// by the stack's sleep clock.
+func (c *Conn) scheduleLocal(base sim.Time, d sim.Duration, label string, fn func()) {
+	c.timers = appendPending(c.timers, c.stack.Clock.AtLocalOffset(base, d, label, fn))
 }
 
 // supervisionExpired checks the supervision timeout.

@@ -107,7 +107,7 @@ func (i *Initiator) listenNext() {
 	i.stack.Radio.StartListening()
 	var hop func(d sim.Duration)
 	hop = func(d sim.Duration) {
-		ev := i.stack.Sched.After(d, i.stack.Name+":scan-hop", func() {
+		ev := i.stack.Sched.After(d, i.stack.label().scanHop, func() {
 			if !i.running {
 				return
 			}
@@ -122,7 +122,7 @@ func (i *Initiator) listenNext() {
 			i.stack.Radio.StopListening()
 			i.listenNext()
 		})
-		i.pending = append(i.pending, ev)
+		i.pending = appendPending(i.pending, ev)
 	}
 	hop(i.cfg.ScanWindowPerChannel)
 }
@@ -175,7 +175,7 @@ func (i *Initiator) onFrame(rx medium.Received) {
 	i.cfg.Params.MasterSCA = req.SCA
 	i.cfg.Params.CSA2 = useCSA2
 	frame := advFrame(req.Marshal())
-	i.stack.Clock.AtLocalOffset(rx.EndAt, ble.TIFS, i.stack.Name+":connect-req", func() {
+	i.stack.Clock.AtLocalOffset(rx.EndAt, ble.TIFS, i.stack.label().connectReq, func() {
 		if !i.running {
 			return
 		}

@@ -59,6 +59,61 @@ type Stack struct {
 	// effect: too small a window breaks legitimate connections; the
 	// countermeasure experiments quantify both.
 	WideningScale float64
+
+	labels *stackLabels // built on first use by label
+}
+
+// stackLabels holds the scheduler labels of one stack's timers. Labels
+// are hot-path strings and concatenating them per event allocates, so
+// each stack builds them once, as medium.Radio does for its own.
+type stackLabels struct {
+	advEvent, advRxClose, scanRsp                                 string
+	scanHop, connectReq                                           string
+	firstAnchor, updatedAnchor, adoptedAnchor, anchor, noResponse string
+	winOpen, updWinOpen, winClose, response                       string
+}
+
+// label returns the stack's scheduler labels, building them on first use.
+func (s *Stack) label() *stackLabels {
+	if s.labels == nil {
+		n := s.Name + ":"
+		s.labels = &stackLabels{
+			advEvent:      n + "adv-event",
+			advRxClose:    n + "adv-rx-close",
+			scanRsp:       n + "scan-rsp",
+			scanHop:       n + "scan-hop",
+			connectReq:    n + "connect-req",
+			firstAnchor:   n + "first-anchor",
+			updatedAnchor: n + "updated-anchor",
+			adoptedAnchor: n + "adopted-anchor",
+			anchor:        n + "anchor",
+			noResponse:    n + "no-response",
+			winOpen:       n + "win-open",
+			updWinOpen:    n + "upd-win-open",
+			winClose:      n + "win-close",
+			response:      n + "response",
+		}
+	}
+	return s.labels
+}
+
+// appendPending adds ev to a list of timers its owner cancels on Stop or
+// close. When the list is full, refs that already ran or were cancelled
+// are compacted out in place before it grows, so the list stays as short
+// as the set of timers still pending rather than growing for as long as
+// its owner runs. Cancelling a dropped ref would have been a no-op, so
+// cancelling the list cancels exactly the same events.
+func appendPending(refs []sim.EventRef, ev sim.EventRef) []sim.EventRef {
+	if len(refs) == cap(refs) {
+		live := refs[:0]
+		for _, r := range refs {
+			if r.Pending() {
+				live = append(live, r)
+			}
+		}
+		refs = live
+	}
+	return append(refs, ev)
 }
 
 // wideningScale returns the effective scale factor.

@@ -18,8 +18,7 @@ func NewMasterConn(stack *Stack, params ConnParams, peer ble.Address, connReqEnd
 	}
 	// Master transmits at the beginning of the transmit window.
 	offset := ble.ConnUnit + sim.Duration(params.WinOffset)*ble.ConnUnit
-	ev := stack.Clock.AtLocalOffset(connReqEnd, offset, stack.Name+":first-anchor", c.masterEvent)
-	c.timers = append(c.timers, ev)
+	c.scheduleLocal(connReqEnd, offset, stack.label().firstAnchor, c.masterEvent)
 	return c, nil
 }
 
@@ -38,9 +37,7 @@ func (c *Conn) masterEvent() {
 		// a transmit-window delay plus offset after the old anchor position.
 		c.applyUpdateParams(upd)
 		offset := ble.ConnUnit + sim.Duration(upd.WinOffset)*ble.ConnUnit
-		ev := c.stack.Clock.AtLocalOffset(c.stack.Sched.Now(), offset,
-			c.stack.Name+":updated-anchor", c.masterEventBody)
-		c.timers = append(c.timers, ev)
+		c.scheduleLocal(c.stack.Sched.Now(), offset, c.stack.label().updatedAnchor, c.masterEventBody)
 		return
 	}
 	c.masterEventBody()
@@ -79,7 +76,7 @@ func (c *Conn) masterEventBody() {
 		// If the slave's response preamble has not started by
 		// T_IFS + preamble+AA + slack, the event is over.
 		deadline := ble.TIFS + phy.LE1M.PreambleAATime() + maxResponseWait
-		c.schedule(deadline, "no-response", func() {
+		c.schedule(deadline, c.stack.label().noResponse, func() {
 			if c.closed || !c.awaitingResponse {
 				return
 			}
@@ -125,7 +122,5 @@ func (c *Conn) closeMasterEvent() {
 		return
 	}
 	c.eventCount++
-	ev := c.stack.Clock.AtLocalOffset(c.lastAnchor, c.params.IntervalDuration(),
-		c.stack.Name+":anchor", c.masterEvent)
-	c.timers = append(c.timers, ev)
+	c.scheduleLocal(c.lastAnchor, c.params.IntervalDuration(), c.stack.label().anchor, c.masterEvent)
 }

@@ -42,10 +42,9 @@ func (c *Conn) scheduleSlaveWindowForTransmitWindow(w TransmitWindow, ref sim.Ti
 	c.setPendingWindow(WindowInitial, span, widening, w.Size)
 	openOffset := span - widening
 	closeOffset := w.End().Sub(ref) + widening
-	ev := c.stack.Clock.AtLocalOffset(ref, openOffset, c.stack.Name+":win-open", func() {
+	c.scheduleLocal(ref, openOffset, c.stack.label().winOpen, func() {
 		c.slaveOpenWindow(closeOffset - openOffset)
 	})
-	c.timers = append(c.timers, ev)
 }
 
 // setPendingWindow stages the widening inputs for the next slaveOpenWindow.
@@ -77,10 +76,9 @@ func (c *Conn) scheduleNextSlaveWindow() {
 		c.setPendingWindow(WindowUpdate, span, widening, w.Size)
 		openOffset := span - widening
 		closeOffset := w.End().Sub(ref) + widening
-		ev := c.stack.Clock.AtLocalOffset(ref, openOffset, c.stack.Name+":upd-win-open", func() {
+		c.scheduleLocal(ref, openOffset, c.stack.label().updWinOpen, func() {
 			c.slaveOpenWindow(closeOffset - openOffset)
 		})
-		c.timers = append(c.timers, ev)
 		return
 	}
 	// Slave latency: skip events when quiet (paper §III-B.8). Skipping
@@ -94,10 +92,9 @@ func (c *Conn) scheduleNextSlaveWindow() {
 	widening := c.currentWidening()
 	c.ins.onWidening(widening)
 	c.setPendingWindow(WindowSteady, span, widening, 0)
-	ev := c.stack.Clock.AtLocalOffset(c.lastAnchor, span-widening, c.stack.Name+":win-open", func() {
+	c.scheduleLocal(c.lastAnchor, span-widening, c.stack.label().winOpen, func() {
 		c.slaveOpenWindow(2 * widening)
 	})
-	c.timers = append(c.timers, ev)
 }
 
 // currentWidening returns the receive-window half-width for the upcoming
@@ -159,7 +156,7 @@ func (c *Conn) slaveOpenWindow(width sim.Duration) {
 	}
 	c.winEpoch++
 	epoch := c.winEpoch
-	c.schedule(width, "win-close", func() { c.slaveWindowClose(epoch) })
+	c.schedule(width, c.stack.label().winClose, func() { c.slaveWindowClose(epoch) })
 }
 
 // slaveWindowClose fires at the end of the widened receive window. Packets
@@ -174,7 +171,7 @@ func (c *Conn) slaveWindowClose(epoch uint64) {
 	}
 	if c.stack.Radio.Acquiring() {
 		// A preamble that started inside the window is still arriving.
-		c.schedule(phy.LE1M.PreambleAATime()+5*sim.Microsecond, "win-close",
+		c.schedule(phy.LE1M.PreambleAATime()+5*sim.Microsecond, c.stack.label().winClose,
 			func() { c.slaveWindowClose(epoch) })
 		return
 	}
@@ -227,7 +224,7 @@ func (c *Conn) slaveOnFrame(rx medium.Received) {
 
 	// Respond T_IFS after the end of the received frame.
 	frame := c.nextPDU()
-	ev := c.stack.Clock.AtLocalOffset(rx.EndAt, ble.TIFS, c.stack.Name+":response", func() {
+	c.scheduleLocal(rx.EndAt, ble.TIFS, c.stack.label().response, func() {
 		if c.closed {
 			return
 		}
@@ -240,7 +237,6 @@ func (c *Conn) slaveOnFrame(rx medium.Received) {
 		}
 		c.stack.Radio.Transmit(frame)
 	})
-	c.timers = append(c.timers, ev)
 }
 
 // closeSlaveEvent ends the event after the response transmission.

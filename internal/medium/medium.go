@@ -146,9 +146,9 @@ type Config struct {
 // timing runs on the supplied scheduler. Not safe for concurrent use — the
 // simulation is single-threaded by design.
 type Medium struct {
-	sched     *sim.Scheduler
-	rng       *sim.RNG
-	cfg       Config
+	sched      *sim.Scheduler
+	rng        *sim.RNG
+	cfg        Config
 	radios     []*Radio
 	active     []*transmission
 	observers  []Observer

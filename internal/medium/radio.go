@@ -64,6 +64,7 @@ type Radio struct {
 	state   radioState
 	locked  *transmission
 	txEnd   sim.EventRef
+	endTxFn func() // endTx, bound once so a transmission allocates no closure
 	pending map[*transmission]sim.EventRef
 
 	// OnFrame is called when a locked frame completes, even if corrupted.
@@ -98,6 +99,7 @@ func (m *Medium) NewRadio(cfg RadioConfig) *Radio {
 		state:           radioIdle,
 		pending:         make(map[*transmission]sim.EventRef),
 	}
+	r.endTxFn = r.endTx
 	m.radios = append(m.radios, r)
 	m.invalidateLossCache()
 	return r
@@ -224,12 +226,15 @@ func (r *Radio) Transmit(f Frame) {
 	}
 	r.state = radioTransmitting
 	r.med.begin(t)
-	r.txEnd = r.med.sched.At(t.end, r.txEndLabel, func() {
-		r.state = radioIdle
-		if r.OnTxDone != nil {
-			r.OnTxDone()
-		}
-	})
+	r.txEnd = r.med.sched.At(t.end, r.txEndLabel, r.endTxFn)
+}
+
+// endTx ends the radio's own transmission, frame or noise burst.
+func (r *Radio) endTx() {
+	r.state = radioIdle
+	if r.OnTxDone != nil {
+		r.OnTxDone()
+	}
 }
 
 // TransmitNoise emits an unmodulated jamming burst for the given duration
@@ -249,12 +254,7 @@ func (r *Radio) TransmitNoise(d sim.Duration) {
 	}
 	r.state = radioTransmitting
 	r.med.begin(t)
-	r.txEnd = r.med.sched.At(t.end, r.noiseEndLabel, func() {
-		r.state = radioIdle
-		if r.OnTxDone != nil {
-			r.OnTxDone()
-		}
-	})
+	r.txEnd = r.med.sched.At(t.end, r.noiseEndLabel, r.endTxFn)
 }
 
 // maybeScheduleLock is called by the medium when transmission t starts:

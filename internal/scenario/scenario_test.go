@@ -148,7 +148,7 @@ func TestValidateAdmissionLimits(t *testing.T) {
 		},
 		{
 			name: "point count",
-			src: `{"version":1,"sweep":[{"field":"conn.interval","range":{"from":6,"to":300,"step":1}}]}`,
+			src:  `{"version":1,"sweep":[{"field":"conn.interval","range":{"from":6,"to":300,"step":1}}]}`,
 			lim:  DefaultLimits,
 			path: "sweep",
 		},

@@ -163,8 +163,8 @@ type field struct {
 func fields() []field {
 	s := func(get func(*Params) *string) field {
 		return field{
-			get: func(p *Params) string { return *get(p) },
-			set: func(p *Params, v string) error { *get(p) = v; return nil },
+			get:   func(p *Params) string { return *get(p) },
+			set:   func(p *Params, v string) error { *get(p) = v; return nil },
 			equal: func(a, b *Params) bool { return *get(a) == *get(b) },
 		}
 	}
