@@ -389,11 +389,17 @@ func runCoordinator(argv []string, stdout, stderr io.Writer, ready chan<- string
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sig := signalCh()
+	// A signal during the campaign aborts it. The watcher is stopped and
+	// joined once the campaign returns, so it never writes stderr beside
+	// the lines that follow, and a signal while lingering ends the linger.
+	stopAbort, abortDone := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(abortDone)
 		select {
 		case s := <-sig:
 			fmt.Fprintf(stderr, "injectabled: %v — aborting campaign (journal retains finished shards)\n", s)
 			cancel()
+		case <-stopAbort:
 		case <-ctx.Done():
 		}
 	}()
@@ -430,6 +436,8 @@ func runCoordinator(argv []string, stdout, stderr io.Writer, ready chan<- string
 	}
 
 	rep, err := fabric.Run(ctx, cfg, plan, w)
+	close(stopAbort)
+	<-abortDone
 	if rep != nil {
 		fmt.Fprintf(stderr, "fabric: shards=%d resumed=%d dispatched=%d retried=%d workers_lost=%d trials=%d ok=%d failed=%d bytes=%d\n",
 			rep.Shards, rep.Resumed, rep.Dispatched, rep.Retried, rep.WorkersLost, rep.Trials, rep.OK, rep.Failed, rep.Bytes)

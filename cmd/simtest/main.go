@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 
 	"injectable/internal/simtest"
 )
@@ -122,15 +123,19 @@ func runOne(seed uint64, mutate func(*simtest.Params) error, shrink, fork bool, 
 
 // runSwarm runs the randomized swarm and reports failures.
 func runSwarm(seedBase uint64, worlds, parallel int, mutate func(*simtest.Params) error, shrink, fork, verbose bool, stdout, stderr io.Writer) int {
-	var mutateErr error
+	// Swarm workers call Mutate concurrently; the first error wins.
+	var (
+		mutateOnce sync.Once
+		mutateErr  error
+	)
 	sum, err := simtest.Swarm(simtest.SwarmConfig{
 		SeedBase: seedBase,
 		Worlds:   worlds,
 		Parallel: parallel,
 		Fork:     fork,
 		Mutate: func(p *simtest.Params) {
-			if err := mutate(p); err != nil && mutateErr == nil {
-				mutateErr = err
+			if err := mutate(p); err != nil {
+				mutateOnce.Do(func() { mutateErr = err })
 			}
 		},
 		OnResult: func(r simtest.Result) {

@@ -67,10 +67,15 @@ const byteArenaChunk = 64 << 10
 // retires every allocation at once while keeping the chunks for reuse. The
 // zero value is ready to use.
 type ByteArena struct {
-	cur    []byte   // active chunk; len = bytes used
-	spare  [][]byte // retired chunks kept across Reset for reuse
-	filled [][]byte // chunks filled since the last Reset
+	cur    arenaChunk   // active chunk; len = bytes used
+	spare  []arenaChunk // retired chunks kept across Reset for reuse
+	filled []arenaChunk // chunks filled since the last Reset
 }
+
+// arenaChunk is one chunk of a ByteArena, its len the bytes handed out.
+// The state engine captures a chunk only up to len: Alloc's callers write
+// every byte past it before anything reads it.
+type arenaChunk []byte
 
 // NewByteArena returns an empty byte arena.
 func NewByteArena() *ByteArena { return &ByteArena{} }

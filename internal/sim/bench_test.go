@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkSchedulerAtStep measures the scheduler hot path: schedule one
 // event, run it. Steady state must be allocation-free — events come from
@@ -72,5 +76,34 @@ func BenchmarkByteArenaCopy(b *testing.B) {
 			a.Reset()
 		}
 		_ = a.Copy(pdu)
+	}
+}
+
+// BenchmarkRNGReseedDraws is a forked trial's stream: reseed, then draw a
+// few times. The register fills as it is drawn, so the cost grows with the
+// draws. math-rand is the eagerly seeded reference: a bare rand.Rand over
+// math/rand's own source, drawn without RNG's wrapper.
+func BenchmarkRNGReseedDraws(b *testing.B) {
+	for _, n := range []int{1, 100, 1000} {
+		b.Run(fmt.Sprintf("draws=%d", n), func(b *testing.B) {
+			g := NewRNG(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.Reseed(uint64(i))
+				for j := 0; j < n; j++ {
+					g.Uint64()
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("math-rand/draws=%d", n), func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.Seed(int64(i))
+				for j := 0; j < n; j++ {
+					r.Uint64()
+				}
+			}
+		})
 	}
 }

@@ -19,8 +19,12 @@ import (
 // A stream seeds its generator on its first draw, not when it is created
 // or reseeded: NewRNG, Reseed and Rekey only record the seed. A stream
 // that is never drawn from — a world's root, a seed-only derivation chain
-// — never pays for seeding. The draws are exactly those of a generator
-// seeded eagerly.
+// — never pays for seeding. The generator is math/rand's, reimplemented
+// (alfg) so that seeding fills its 607-word register word by word as the
+// draws first read it: a stream drawn a handful of times pays for a
+// handful of words. The draws are exactly those of
+// rand.New(rand.NewSource(seed)) seeded eagerly, and rand.Rand still turns
+// them into Float64, NormFloat64, Intn and the rest.
 //
 // An RNG is NOT goroutine-safe: concurrent draws from one stream race and
 // destroy reproducibility. Child/ChildN write to the root's registry, so
@@ -131,14 +135,15 @@ func (g *RNG) src() *rand.Rand {
 }
 
 // seedSource positions the generator at the start of seed's sequence,
-// building it if the stream has never been drawn from. It is kept out of
-// src so that src stays small enough to inline into every draw.
+// building it if the stream has never been drawn from. Seeding only
+// reduces the seed; the register fills word by word as it is drawn. It is
+// kept out of src so that src stays small enough to inline into every
+// draw.
 func (g *RNG) seedSource() {
 	if g.r == nil {
-		g.r = rand.New(rand.NewSource(int64(g.seed)))
-	} else {
-		g.r.Seed(int64(g.seed))
+		g.r = rand.New(&alfg{})
 	}
+	g.r.Seed(int64(g.seed))
 	g.seeded = true
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"unsafe"
@@ -31,20 +32,22 @@ import (
 //     state in struct fields reachable from a root (internal/simtest's fork
 //     swarm enforces this empirically across randomized worlds).
 //   - It does not traverse into channels or strings (immutable/opaque).
-//   - It only manages objects whose types live in this module (or in
-//     math/rand, so *rand.Rand internals — the PRNG stream position — are
-//     captured without changing the algorithm). Pointers to foreign types
+//   - It only manages objects whose types live in this module, plus
+//     math/rand's Rand, whose Read position is stream state (the generator
+//     it wraps is this package's alfg). Pointers to foreign types
 //     (testing.T, os.File, io.Writer implementations, …) are restored as
 //     pointers but their pointees are left alone: rolling back a *testing.T
 //     or a file's state would be actively wrong.
 //
 // Slices are saved as regions: the backing array contents over [0:cap] are
-// copied out and restored, so post-snapshot appends within capacity and
-// arena bump allocations roll back cleanly. Aliasing subslices restore
-// consistently because every region's bytes were captured at the same
-// instant. Maps are saved as key/value pairs and restored by clearing the
-// live map and reinserting — the map object itself (not a replacement) is
-// mutated, so every pointer to it stays valid.
+// copied out and restored, so post-snapshot appends within capacity roll
+// back cleanly. A ByteArena chunk is the exception: only [0:len] is
+// captured, because the bump allocator's callers write every byte past len
+// before anything reads it. Aliasing subslices restore consistently
+// because every region's bytes were captured at the same instant. Maps are
+// saved as key/value pairs and restored by clearing the live map and
+// reinserting — the map object itself (not a replacement) is mutated, so
+// every pointer to it stays valid.
 //
 // The engine is single-threaded, like the simulation it captures.
 
@@ -62,9 +65,9 @@ func managedType(t reflect.Type) bool {
 	if pp == modulePrefix || strings.HasPrefix(pp, modulePrefix+"/") {
 		return true
 	}
-	// math/rand's rngSource — reached through sim.RNG — is the one foreign
-	// type whose state is simulation state.
-	return pp == "math/rand"
+	// rand.Rand, reached through RNG, is the one foreign type whose state
+	// is simulation state: its Read position is part of the stream.
+	return t == randType
 }
 
 // objKey identifies a captured object: distinct types may share an address
@@ -80,9 +83,10 @@ type savedObj struct {
 	snap reflect.Value // detached copy taken at capture time
 }
 
-// savedRegion is one slice backing-array region [0:cap].
+// savedRegion is one slice backing-array region: [0:cap], or [0:len] for
+// an arena chunk.
 type savedRegion struct {
-	live reflect.Value // slice over the live backing array, len == cap
+	live reflect.Value // slice over the live backing array's region
 	snap reflect.Value // copied contents
 }
 
@@ -151,7 +155,11 @@ func (w *walker) walkRoots(roots []any) {
 	}
 }
 
-var rngType = reflect.TypeOf(RNG{})
+var (
+	rngType        = reflect.TypeOf(RNG{})
+	randType       = reflect.TypeOf(rand.Rand{})
+	arenaChunkType = reflect.TypeOf(arenaChunk(nil))
+)
 
 // walk visits one value. v may be unaddressable (a map key/value copy);
 // traversal only needs the pointer values it contains.
@@ -224,9 +232,16 @@ func (w *walker) walk(v reflect.Value) {
 		if _, ok := w.seen[key]; !ok {
 			w.seen[key] = struct{}{}
 			if w.cap != nil {
-				snap := reflect.MakeSlice(v.Type(), v.Cap(), v.Cap())
-				reflect.Copy(snap, full)
-				w.cap.regions = append(w.cap.regions, savedRegion{live: full, snap: snap})
+				live := full
+				if v.Type() == arenaChunkType {
+					// Only [0:len] is state (see arenaChunk). The key
+					// keeps the capacity, so chunks filled to any len
+					// share one array type.
+					live = v.Slice(0, v.Len())
+				}
+				snap := reflect.MakeSlice(v.Type(), live.Len(), live.Len())
+				reflect.Copy(snap, live)
+				w.cap.regions = append(w.cap.regions, savedRegion{live: live, snap: snap})
 			}
 		}
 		if !hasPointers(elemT) {
@@ -305,13 +320,10 @@ func (c *Capture) Restore() {
 	}
 	for i := range c.maps {
 		m := &c.maps[i]
-		// Clear additions, then reinstate capture-time pairs (overwriting
-		// mutated values). The map object itself is mutated in place, so
-		// every live reference to it stays valid.
-		keys := m.live.MapKeys()
-		for _, k := range keys {
-			m.live.SetMapIndex(k, reflect.Value{})
-		}
+		// Empty the map, then reinstate the capture-time pairs. The map
+		// object itself is mutated in place, so every live reference to it
+		// stays valid.
+		m.live.Clear()
 		for j := range m.keys {
 			m.live.SetMapIndex(m.keys[j], m.vals[j])
 		}

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // The engine test types live in this package, so they are module-managed.
@@ -79,22 +81,88 @@ func TestCaptureRestorePointerSlice(t *testing.T) {
 }
 
 func TestCaptureRestoreMap(t *testing.T) {
-	n := &stateNode{scores: map[string]int{"x": 1, "y": 2}}
-	m := n.scores
-	cap := CaptureRoots(n)
+	for _, tc := range []struct {
+		name   string
+		mutate func(map[string]int)
+	}{
+		{"key added", func(m map[string]int) { m["z"] = 3 }},
+		{"key deleted", func(m map[string]int) { delete(m, "y") }},
+		{"value overwritten", func(m map[string]int) { m["x"] = 50 }},
+		{"all three", func(m map[string]int) { m["x"] = 50; m["z"] = 3; delete(m, "y") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := &stateNode{scores: map[string]int{"x": 1, "y": 2}}
+			m := n.scores
+			cap := CaptureRoots(n)
 
-	n.scores["x"] = 50
-	n.scores["z"] = 3
-	delete(n.scores, "y")
+			tc.mutate(n.scores)
+			cap.Restore()
+
+			if !reflect.DeepEqual(n.scores, map[string]int{"x": 1, "y": 2}) {
+				t.Fatalf("restore: scores=%v", n.scores)
+			}
+			// The same map object was restored in place, not replaced.
+			m["w"] = 9
+			if n.scores["w"] != 9 {
+				t.Fatal("map object identity lost on restore")
+			}
+		})
+	}
+}
+
+// TestCaptureRestoreArenaChunk forks a byte arena whose next allocations
+// cross into a new chunk. The active chunk is captured only up to its
+// len, and allocating again after the restore hands out what the first
+// timeline did.
+func TestCaptureRestoreArenaChunk(t *testing.T) {
+	a := NewByteArena()
+	old := a.Copy([]byte("captured"))
+	a.Alloc(byteArenaChunk - 100)
+	cap := CaptureRoots(a)
+
+	chunk := unsafe.Pointer(unsafe.SliceData(a.cur))
+	found := false
+	for _, r := range cap.regions {
+		if r.live.UnsafePointer() == chunk {
+			found = true
+			if r.live.Len() != len(a.cur) {
+				t.Fatalf("active chunk captured as %d bytes, want its len %d", r.live.Len(), len(a.cur))
+			}
+		}
+	}
+	if !found {
+		t.Fatal("active chunk not captured")
+	}
+
+	timeline := func() (bufs [][]byte, ptrs []unsafe.Pointer) {
+		for i := 0; i < 8; i++ {
+			b := a.Copy(bytes.Repeat([]byte{byte('a' + i)}, 30))
+			bufs = append(bufs, b)
+			ptrs = append(ptrs, unsafe.Pointer(unsafe.SliceData(b)))
+		}
+		return bufs, ptrs
+	}
+	first, firstPtrs := timeline()
+	if len(a.filled) != 1 {
+		t.Fatalf("timeline filled %d chunks, want 1", len(a.filled))
+	}
+	copy(old, "clobber!")
 	cap.Restore()
 
-	if !reflect.DeepEqual(n.scores, map[string]int{"x": 1, "y": 2}) {
-		t.Fatalf("restore: scores=%v", n.scores)
+	if string(old) != "captured" {
+		t.Fatalf("bytes under len after restore = %q, want %q", old, "captured")
 	}
-	// The same map object was restored in place, not replaced.
-	m["w"] = 9
-	if n.scores["w"] != 9 {
-		t.Fatal("map object identity lost on restore")
+	second, secondPtrs := timeline()
+	for i := range first {
+		if !bytes.Equal(second[i], first[i]) {
+			t.Fatalf("allocation %d after restore = %q, want %q", i, second[i], first[i])
+		}
+	}
+	// The allocations that fit the captured chunk land where they did.
+	for i := 0; i < 3; i++ {
+		if secondPtrs[i] != firstPtrs[i] {
+			t.Fatalf("allocation %d after restore moved", i)
+		}
 	}
 }
 
