@@ -12,15 +12,14 @@ import (
 
 // Binary trial-record codec.
 //
-// The NDJSON stream is the human-readable result format; this is the
-// wire format: a length-prefixed, versioned, CRC-sealed binary stream
-// carrying exactly the same deterministic fields, in the repo's
-// hand-rolled bit-exact codec style (fixed magic, uvarint/fixed fields,
-// per-record CRC). The two formats are a lossless bijection through
-// Record — TranscodeBinaryToNDJSON(binary sink bytes) reproduces the
-// NDJSON sink's bytes exactly, and vice versa — so the serving layer
-// can run a campaign once into binary, cache the slab, and materialize
-// NDJSON only for clients that ask for it.
+// This is the one result encoding: a length-prefixed, versioned,
+// CRC-sealed binary stream of a campaign's deterministic fields, in the
+// repo's hand-rolled bit-exact codec style (fixed magic, uvarint/fixed
+// fields, per-record CRC). Every campaign — CLI, daemon job, fabric
+// shard — records its trials once, with the Binary sink; NDJSON is only
+// ever a rendering of these bytes through NDJSONWriter, and
+// TranscodeNDJSONToBinary inverts that rendering losslessly through
+// Record.
 //
 // Stream layout:
 //
@@ -102,7 +101,7 @@ func appendFrame(dst []byte, typ byte, payload []byte) []byte {
 // BinaryHeader renders the stream prologue — magic, version and the
 // header frame — exactly as the Binary sink writes it for a campaign
 // with this identity. The fabric merger uses it to stamp one global
-// header over many merged shard payloads, mirroring NDJSONHeader.
+// header over many merged shard payloads.
 func BinaryHeader(name string, seedBase uint64, points, totalTrials int) []byte {
 	payload := binary.AppendUvarint(nil, uint64(len(name)))
 	payload = append(payload, name...)
@@ -113,8 +112,8 @@ func BinaryHeader(name string, seedBase uint64, points, totalTrials int) []byte 
 	return appendFrame(dst, frameHeader, payload)
 }
 
-// BinaryTrailer renders the end frame for these tallies, mirroring
-// NDJSONTrailer.
+// BinaryTrailer renders the end frame for these tallies, as the Binary
+// sink writes it.
 func BinaryTrailer(trials, ok, failed int) []byte {
 	payload := binary.AppendUvarint(nil, uint64(trials))
 	payload = binary.AppendUvarint(payload, uint64(ok))
@@ -156,10 +155,11 @@ func AppendBinaryRecord(dst []byte, rec Record) []byte {
 	return appendFrame(dst, frameResult, payload)
 }
 
-// Binary is a Sink writing the deterministic binary stream to w. Like
-// NDJSON it carries only deterministic fields, so the emitted bytes are
-// identical at any worker count; the serving layer caches these slabs
-// and replays them zero-copy.
+// Binary is a Sink writing the deterministic binary stream to w. It
+// carries only deterministic fields, so the emitted bytes are identical
+// at any worker count; the serving layer caches these slabs and replays
+// them zero-copy. NewBinary(NewNDJSONWriter(w)) streams the same
+// campaign as NDJSON.
 type Binary struct {
 	w   io.Writer
 	err error
@@ -209,8 +209,8 @@ func corrupt(format string, args ...any) error {
 }
 
 // errShortFrame reports that a frame is incomplete at the end of the
-// buffer — distinct from corruption only for the streaming transcoder,
-// which waits for more bytes; every whole-stream decoder converts it to
+// buffer — distinct from corruption only for NDJSONWriter, which waits
+// for more bytes; every whole-stream decoder converts it to
 // ErrBinaryCorrupt.
 var errShortFrame = errors.New("campaign: incomplete binary frame")
 
@@ -339,11 +339,11 @@ func decodeEndPayload(p []byte) (StreamTallies, error) {
 }
 
 // decodeResultPayload parses a result frame's payload. The record's
-// Point is interned against prev when the label repeats (results arrive
-// point-major, so runs of identical labels are the common case) and its
-// Value aliases the payload — callers that retain records across calls
-// must copy.
-func decodeResultPayload(p []byte, prev *Record) (Record, error) {
+// Point is interned against prevPoint when the label repeats (results
+// arrive point-major, so runs of identical labels are the common case)
+// and its Value aliases the payload — callers that retain records
+// across calls must copy.
+func decodeResultPayload(p []byte, prevPoint string) (Record, error) {
 	var rec Record
 	pointLen, n, err := readUvarint(p)
 	if err != nil {
@@ -354,8 +354,8 @@ func decodeResultPayload(p []byte, prev *Record) (Record, error) {
 		return rec, corrupt("result point length %d out of range", pointLen)
 	}
 	point := p[:pointLen]
-	if prev != nil && prev.Point != "" && prev.Point == string(point) {
-		rec.Point = prev.Point
+	if prevPoint != "" && prevPoint == string(point) {
+		rec.Point = prevPoint
 	} else {
 		rec.Point = string(point)
 	}
@@ -453,7 +453,7 @@ func ScanBinary(stream []byte, fn func(rec Record) error) (StreamInfo, StreamTal
 		return info, tallies, err
 	}
 	rest = rest[n:]
-	var prev Record
+	var prevPoint string
 	for {
 		if len(rest) == 0 {
 			return info, tallies, corrupt("stream has no end frame")
@@ -465,11 +465,11 @@ func ScanBinary(stream []byte, fn func(rec Record) error) (StreamInfo, StreamTal
 		rest = rest[n:]
 		switch typ {
 		case frameResult:
-			rec, err := decodeResultPayload(payload, &prev)
+			rec, err := decodeResultPayload(payload, prevPoint)
 			if err != nil {
 				return info, tallies, err
 			}
-			prev = rec
+			prevPoint = rec.Point
 			if fn != nil {
 				if err := fn(rec); err != nil {
 					return info, tallies, err
@@ -568,43 +568,14 @@ func SplitBinaryStream(stream []byte) (StreamInfo, []byte, StreamTallies, error)
 	}
 }
 
-// TranscodeBinaryToNDJSON renders a complete binary stream as the exact
-// NDJSON byte stream the NDJSON sink would have written for the same
-// campaign: header line, result lines, end line.
+// TranscodeBinaryToNDJSON renders a complete binary stream as NDJSON
+// on w: header line, result lines, end line.
 func TranscodeBinaryToNDJSON(w io.Writer, stream []byte) error {
-	rest, err := checkMagic(stream)
-	if err != nil {
+	t := NewNDJSONWriter(w)
+	if _, err := t.Write(stream); err != nil {
 		return err
 	}
-	typ, payload, _, err := readFrame(rest)
-	if err != nil {
-		return err
-	}
-	if typ != frameHeader {
-		return corrupt("stream does not open with a header frame (type %q)", typ)
-	}
-	info, err := decodeHeaderPayload(payload)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(NDJSONHeader(info.Name, info.SeedBase, info.Points, info.Trials)); err != nil {
-		return err
-	}
-	var buf []byte
-	_, tallies, err := ScanBinary(stream, func(rec Record) error {
-		var lerr error
-		buf, lerr = rec.AppendNDJSONLine(buf[:0])
-		if lerr != nil {
-			return lerr
-		}
-		_, werr := w.Write(buf)
-		return werr
-	})
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(NDJSONTrailer(tallies.Trials, tallies.OK, tallies.Failed))
-	return err
+	return t.Close()
 }
 
 // unmarshalKind parses one NDJSON frame line and checks its kind tag.
@@ -665,168 +636,129 @@ const (
 	stageDone
 )
 
-// BinaryNDJSONReader incrementally transcodes a binary trial stream to
-// NDJSON as it is produced. It reads binary frames from src — which may
-// deliver them in arbitrary chunks, mid-frame splits included — and
-// serves the corresponding NDJSON lines as soon as each frame
-// completes, so a live subscriber tailing a running campaign sees lines
-// with no more latency than the frames themselves. A source that ends
-// mid-stream (a canceled job) surfaces ErrBinaryCorrupt.
-type BinaryNDJSONReader struct {
-	src     io.Reader
-	in      []byte
-	out     []byte
-	outOff  int
-	stage   int
-	prev    Record
-	buf     []byte
-	srcDone bool
-	err     error
+// NDJSONWriter renders a binary trial stream written into it as NDJSON
+// on w. It is the only NDJSON renderer: the experiments CLI, the
+// daemon's responses and cache, and the fabric's merged output all
+// write binary frames through it. The NDJSON stream is one "campaign"
+// header line, one "result" line per trial in ordinal order and one
+// "end" line with the tallies — the binary stream's deterministic
+// fields only, unlike JSONL's wall-clock ones.
+//
+// The binary stream may arrive split anywhere, mid-frame included;
+// each frame's line goes to w in a single Write as soon as the frame is
+// complete, so a subscriber tailing a running campaign sees a trial's
+// line when its frame lands. The stream is validated as strictly as
+// DecodeBinary does: magic and version, every frame's CRC, header frame
+// first, end frame last, nothing after it. A violation — or a result
+// value that is not JSON — fails that Write and every later call with
+// ErrBinaryCorrupt; an error from w is returned as is.
+type NDJSONWriter struct {
+	w     io.Writer
+	stage int
+	part  []byte // incomplete frame carried over to the next Write
+	line  []byte // render buffer, reused across frames
+	point string // previous result's label, for interning
+	err   error
 }
 
-// NewBinaryNDJSONReader returns a reader transcoding src to NDJSON.
-func NewBinaryNDJSONReader(src io.Reader) *BinaryNDJSONReader {
-	return &BinaryNDJSONReader{src: src}
-}
+// NewNDJSONWriter returns a writer rendering a binary stream onto w.
+func NewNDJSONWriter(w io.Writer) *NDJSONWriter { return &NDJSONWriter{w: w} }
 
-// Read implements io.Reader.
-func (t *BinaryNDJSONReader) Read(p []byte) (int, error) {
-	for {
-		if t.outOff < len(t.out) {
-			n := copy(p, t.out[t.outOff:])
-			t.outOff += n
-			if t.outOff == len(t.out) {
-				t.out, t.outOff = t.out[:0], 0
-			}
-			return n, nil
-		}
-		if t.err != nil {
-			return 0, t.err
-		}
-		if err := t.consume(); err != nil {
-			t.err = err
-			continue
-		}
-		if t.outOff < len(t.out) {
-			continue
-		}
-		if t.stage == stageDone {
-			t.err = io.EOF
-			continue
-		}
-		if t.srcDone {
-			t.err = corrupt("stream ends mid-frame")
-			continue
-		}
-		var chunk [4096]byte
-		n, err := t.src.Read(chunk[:])
-		if n > 0 {
-			t.in = append(t.in, chunk[:n]...)
-		}
-		switch {
-		case err == io.EOF:
-			t.srcDone = true
-		case err != nil:
-			t.err = err
-		}
+// Write implements io.Writer.
+func (t *NDJSONWriter) Write(p []byte) (int, error) {
+	if t.err != nil {
+		return 0, t.err
 	}
+	buf := p
+	if len(t.part) > 0 {
+		t.part = append(t.part, p...)
+		buf = t.part
+	}
+	n, err := t.frames(buf)
+	if err != nil {
+		t.err = err
+		return 0, err
+	}
+	t.part = append(t.part[:0], buf[n:]...)
+	return len(p), nil
 }
 
-// consume transcodes every complete frame buffered in t.in into t.out,
-// leaving any partial tail for the next read.
-func (t *BinaryNDJSONReader) consume() error {
+// Close fails a stream that stopped before its end frame. It does not
+// close w.
+func (t *NDJSONWriter) Close() error {
+	if t.err == nil && t.stage != stageDone {
+		return corrupt("stream ends before its end frame")
+	}
+	return t.err
+}
+
+// frames renders every complete frame at the head of b and returns the
+// bytes they span; an incomplete tail waits for the next Write.
+func (t *NDJSONWriter) frames(b []byte) (int, error) {
+	off := 0
 	for {
+		rest := b[off:]
 		switch t.stage {
 		case stageMagic:
-			if len(t.in) < len(binaryMagic)+1 {
-				return nil
+			if len(rest) < len(binaryMagic)+1 {
+				return off, nil
 			}
-			rest, err := checkMagic(t.in)
-			if err != nil {
-				return err
+			if _, err := checkMagic(rest); err != nil {
+				return off, err
 			}
-			t.in = rest
+			off += len(binaryMagic) + 1
 			t.stage = stageHeader
-		case stageHeader, stageRecords:
-			typ, payload, n, err := parseFrame(t.in)
-			if errors.Is(err, errShortFrame) {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			switch {
-			case t.stage == stageHeader && typ == frameHeader:
-				info, err := decodeHeaderPayload(payload)
-				if err != nil {
-					return err
-				}
-				t.out = append(t.out, NDJSONHeader(info.Name, info.SeedBase, info.Points, info.Trials)...)
-				t.stage = stageRecords
-			case t.stage == stageRecords && typ == frameResult:
-				rec, err := decodeResultPayload(payload, &t.prev)
-				if err != nil {
-					return err
-				}
-				// Render before advancing t.in: rec.Value aliases the
-				// payload. prev keeps only the label for interning.
-				line, lerr := rec.AppendNDJSONLine(t.buf[:0])
-				if lerr != nil {
-					return lerr
-				}
-				t.buf = line
-				t.out = append(t.out, line...)
-				t.prev = Record{Point: rec.Point}
-			case t.stage == stageRecords && typ == frameEnd:
-				tl, err := decodeEndPayload(payload)
-				if err != nil {
-					return err
-				}
-				t.out = append(t.out, NDJSONTrailer(tl.Trials, tl.OK, tl.Failed)...)
-				t.stage = stageDone
-			default:
-				return corrupt("frame type %q out of order", typ)
-			}
-			t.in = t.in[n:]
+			continue
 		case stageDone:
-			if len(t.in) != 0 {
-				return corrupt("%d bytes after the end frame", len(t.in))
+			if len(rest) != 0 {
+				return off, corrupt("%d bytes after the end frame", len(rest))
 			}
-			return nil
+			return off, nil
 		}
+		typ, payload, n, err := parseFrame(rest)
+		if errors.Is(err, errShortFrame) {
+			return off, nil
+		}
+		if err != nil {
+			return off, err
+		}
+		if err := t.render(typ, payload); err != nil {
+			return off, err
+		}
+		off += n
 	}
 }
 
-// TranscodeResultFrames renders a raw result-frame region — the slice
-// between header and end frames, as returned by SplitBinaryStream — as
-// NDJSON result lines. The fabric coordinator merges shard payloads in
-// this form and uses this to emit its default NDJSON output without
-// ever materializing records.
-func TranscodeResultFrames(w io.Writer, payload []byte) error {
-	var prev Record
-	var buf []byte
-	rest := payload
-	for len(rest) > 0 {
-		typ, p, n, err := readFrame(rest)
+// render writes one frame's line. Header and end lines hold only
+// strings and integers, which always marshal.
+func (t *NDJSONWriter) render(typ byte, payload []byte) error {
+	switch {
+	case t.stage == stageHeader && typ == frameHeader:
+		info, err := decodeHeaderPayload(payload)
 		if err != nil {
 			return err
 		}
-		if typ != frameResult {
-			return corrupt("frame type %q inside a result region", typ)
-		}
-		rec, err := decodeResultPayload(p, &prev)
+		t.line, _ = appendLine(t.line[:0], ndjsonHeader{"campaign", info.Name, info.SeedBase, info.Points, info.Trials})
+		t.stage = stageRecords
+	case t.stage == stageRecords && typ == frameResult:
+		rec, err := decodeResultPayload(payload, t.point)
 		if err != nil {
 			return err
 		}
-		buf, err = rec.AppendNDJSONLine(buf[:0])
+		if t.line, err = rec.AppendNDJSONLine(t.line[:0]); err != nil {
+			return corrupt("%v", err)
+		}
+		t.point = rec.Point
+	case t.stage == stageRecords && typ == frameEnd:
+		tl, err := decodeEndPayload(payload)
 		if err != nil {
 			return err
 		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		prev = Record{Point: rec.Point}
-		rest = rest[n:]
+		t.line, _ = appendLine(t.line[:0], ndjsonEnd{"end", tl.Trials, tl.OK, tl.Failed})
+		t.stage = stageDone
+	default:
+		return corrupt("frame type %q out of order", typ)
 	}
-	return nil
+	_, err := t.w.Write(t.line)
+	return err
 }

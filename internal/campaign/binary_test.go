@@ -42,11 +42,12 @@ func mixedSpec(points, trials int) *Spec {
 	return spec
 }
 
-// runSinks runs spec once through both sinks and returns their streams.
+// runSinks runs spec once into a Binary sink and into a second one that
+// streams through NDJSONWriter, and returns both streams.
 func runSinks(t *testing.T, spec *Spec, workers int) (ndjson, bin []byte) {
 	t.Helper()
 	var nb, bb bytes.Buffer
-	ns, bs := NewNDJSON(&nb), NewBinary(&bb)
+	ns, bs := NewBinary(NewNDJSONWriter(&nb)), NewBinary(&bb)
 	r := &Runner{Workers: workers, Sinks: []Sink{ns, bs}}
 	if _, err := r.Run(spec); err != nil {
 		t.Fatalf("run: %v", err)
@@ -88,9 +89,10 @@ func TestBinaryDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestBinaryNDJSONBijection is the tentpole's core property: transcoding
-// the binary stream yields exactly the bytes the live NDJSON sink wrote,
-// and transcoding those back yields exactly the live binary stream.
+// TestBinaryNDJSONBijection: rendering the finished binary stream yields
+// exactly the NDJSON a sink streamed frame by frame through NDJSONWriter
+// during the run, and transcoding that NDJSON back yields exactly the
+// binary stream.
 func TestBinaryNDJSONBijection(t *testing.T) {
 	ndjson, bin := runSinks(t, mixedSpec(3, 8), 4)
 
@@ -99,7 +101,7 @@ func TestBinaryNDJSONBijection(t *testing.T) {
 		t.Fatalf("binary→ndjson: %v", err)
 	}
 	if !bytes.Equal(gotNDJSON.Bytes(), ndjson) {
-		t.Fatalf("binary→ndjson transcode differs from live NDJSON sink:\ngot  %q\nwant %q",
+		t.Fatalf("binary→ndjson transcode differs from the live rendering:\ngot  %q\nwant %q",
 			gotNDJSON.Bytes(), ndjson)
 	}
 
@@ -184,10 +186,14 @@ func TestSplitBinaryStream(t *testing.T) {
 
 func TestBinaryTruncationAndCorruptionError(t *testing.T) {
 	_, bin := runSinks(t, mixedSpec(1, 4), 1)
-	// Every strict prefix must fail to decode — no tolerated torn tail.
+	// Every strict prefix must fail to decode and to render — no
+	// tolerated torn tail.
 	for cut := 0; cut < len(bin); cut++ {
 		if _, _, _, err := DecodeBinary(bin[:cut]); !errors.Is(err, ErrBinaryCorrupt) {
 			t.Fatalf("truncation at %d: err = %v, want ErrBinaryCorrupt", cut, err)
+		}
+		if err := TranscodeBinaryToNDJSON(io.Discard, bin[:cut]); !errors.Is(err, ErrBinaryCorrupt) {
+			t.Fatalf("truncation at %d: render err = %v, want ErrBinaryCorrupt", cut, err)
 		}
 	}
 	// Any single flipped bit must fail (CRC, magic or structure).
@@ -197,51 +203,96 @@ func TestBinaryTruncationAndCorruptionError(t *testing.T) {
 		if _, _, _, err := DecodeBinary(mut); err == nil {
 			t.Fatalf("bit flip at byte %d decoded cleanly", i)
 		}
+		if err := TranscodeBinaryToNDJSON(io.Discard, mut); err == nil {
+			t.Fatalf("bit flip at byte %d rendered cleanly", i)
+		}
 	}
 	// Trailing garbage after the end frame must fail.
-	if _, _, _, err := DecodeBinary(append(append([]byte(nil), bin...), 0x00)); !errors.Is(err, ErrBinaryCorrupt) {
+	junk := append(append([]byte(nil), bin...), 0x00)
+	if _, _, _, err := DecodeBinary(junk); !errors.Is(err, ErrBinaryCorrupt) {
 		t.Fatalf("trailing byte: err = %v, want ErrBinaryCorrupt", err)
 	}
+	if err := TranscodeBinaryToNDJSON(io.Discard, junk); !errors.Is(err, ErrBinaryCorrupt) {
+		t.Fatalf("trailing byte: render err = %v, want ErrBinaryCorrupt", err)
+	}
 }
 
-// chunkReader yields its payload in fixed-size chunks to force mid-frame
-// splits through the streaming transcoder.
-type chunkReader struct {
-	data []byte
-	n    int
+// writeRecorder keeps every Write it receives as a separate slice.
+type writeRecorder struct{ writes [][]byte }
+
+func (r *writeRecorder) Write(p []byte) (int, error) {
+	r.writes = append(r.writes, append([]byte(nil), p...))
+	return len(p), nil
 }
 
-func (c *chunkReader) Read(p []byte) (int, error) {
-	if len(c.data) == 0 {
-		return 0, io.EOF
+// writeChunked writes data to w in chunk-sized pieces, forcing
+// mid-frame splits, and closes it.
+func writeChunked(w *NDJSONWriter, data []byte, chunk int) error {
+	for len(data) > 0 {
+		n := chunk
+		if n > len(data) {
+			n = len(data)
+		}
+		if _, err := w.Write(data[:n]); err != nil {
+			return err
+		}
+		data = data[n:]
 	}
-	n := c.n
-	if n > len(c.data) {
-		n = len(c.data)
-	}
-	if n > len(p) {
-		n = len(p)
-	}
-	copy(p, c.data[:n])
-	c.data = c.data[n:]
-	return n, nil
+	return w.Close()
 }
 
-func TestBinaryNDJSONReaderStreams(t *testing.T) {
+func TestNDJSONWriterStreams(t *testing.T) {
 	ndjson, bin := runSinks(t, mixedSpec(3, 8), 4)
 	for _, chunk := range []int{1, 3, 7, 64, 1 << 20} {
-		got, err := io.ReadAll(NewBinaryNDJSONReader(&chunkReader{data: bin, n: chunk}))
-		if err != nil {
+		var rec writeRecorder
+		if err := writeChunked(NewNDJSONWriter(&rec), bin, chunk); err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
-		if !bytes.Equal(got, ndjson) {
-			t.Fatalf("chunk=%d: streamed transcode differs from live NDJSON", chunk)
+		if !bytes.Equal(bytes.Join(rec.writes, nil), ndjson) {
+			t.Fatalf("chunk=%d: streamed rendering differs from the live one", chunk)
+		}
+		for _, w := range rec.writes {
+			if bytes.IndexByte(w, '\n') != len(w)-1 {
+				t.Fatalf("chunk=%d: one Write carried %q, want exactly one line", chunk, w)
+			}
 		}
 	}
-	// A source that ends mid-stream is an error, not silent truncation.
-	_, err := io.ReadAll(NewBinaryNDJSONReader(&chunkReader{data: bin[:len(bin)-3], n: 8}))
+	// A stream that stops before its end frame is an error, not silent
+	// truncation.
+	err := writeChunked(NewNDJSONWriter(io.Discard), bin[:len(bin)-3], 8)
 	if !errors.Is(err, ErrBinaryCorrupt) {
-		t.Fatalf("truncated live stream: err = %v, want ErrBinaryCorrupt", err)
+		t.Fatalf("truncated stream: err = %v, want ErrBinaryCorrupt", err)
+	}
+}
+
+// TestNDJSONWriterGolden pins the rendered bytes of every record shape
+// against literal lines, HTML-escaped labels included.
+func TestNDJSONWriterGolden(t *testing.T) {
+	stream := EncodeBinary(StreamInfo{Name: "golden", SeedBase: 7, Points: 2, Trials: 4}, []Record{
+		{Point: "a", Trial: 0, Seed: 7, OK: true, Value: []byte(`{"Success":true,"Attempts":2}`)},
+		{Point: "a", Trial: 1, Seed: 8, OK: true},
+		{Point: "b<&>", Trial: 0, Seed: 9, Err: "boom", Panicked: true},
+		{Point: "b<&>", Trial: 1, Seed: 10, Err: "deadline", TimedOut: true},
+	}, StreamTallies{Trials: 4, OK: 2, Failed: 2})
+	want := `{"kind":"campaign","campaign":"golden","seed_base":7,"points":2,"trials":4}
+{"kind":"result","point":"a","trial":0,"seed":7,"ok":true,"value":{"Success":true,"Attempts":2}}
+{"kind":"result","point":"a","trial":1,"seed":8,"ok":true}
+{"kind":"result","point":"b\u003c\u0026\u003e","trial":0,"seed":9,"ok":false,"err":"boom","panicked":true}
+{"kind":"result","point":"b\u003c\u0026\u003e","trial":1,"seed":10,"ok":false,"err":"deadline","timed_out":true}
+{"kind":"end","trials":4,"ok":2,"failed":2}
+`
+	var got bytes.Buffer
+	if err := TranscodeBinaryToNDJSON(&got, stream); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want {
+		t.Fatalf("rendering:\n%s\nwant:\n%s", got.String(), want)
+	}
+	// A CRC-valid record whose value is not JSON cannot render.
+	bad := EncodeBinary(StreamInfo{Name: "bad", Points: 1, Trials: 1},
+		[]Record{{Point: "a", OK: true, Value: []byte("{")}}, StreamTallies{Trials: 1, OK: 1})
+	if err := TranscodeBinaryToNDJSON(io.Discard, bad); !errors.Is(err, ErrBinaryCorrupt) {
+		t.Fatalf("non-JSON value: err = %v, want ErrBinaryCorrupt", err)
 	}
 }
 

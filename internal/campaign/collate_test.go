@@ -94,9 +94,11 @@ func TestCollatorNonZeroBase(t *testing.T) {
 	}
 }
 
-// TestNDJSONFrameHelpers pins the exported header/trailer bytes to what
-// the sink itself writes, so a fabric-merged stream's frame lines cannot
-// drift from a single-process run's.
+// TestNDJSONFrameHelpers pins the frame helpers the fabric stamps over
+// merged shards — BinaryHeader and BinaryTrailer — to what the sink
+// itself writes, and their NDJSON rendering to the literal header and
+// end lines, so a fabric-merged stream's frame lines cannot drift from
+// a single-process run's.
 func TestNDJSONFrameHelpers(t *testing.T) {
 	spec := &Spec{
 		Name:     "fig9-exp1",
@@ -107,18 +109,29 @@ func TestNDJSONFrameHelpers(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	sink := NewNDJSON(&buf)
+	sink := NewBinary(&buf)
 	sink.Start(spec, spec.TotalTrials())
-	header := append([]byte(nil), buf.Bytes()...)
-	if want := NDJSONHeader("fig9-exp1", 1000, 2, 3); !bytes.Equal(header, want) {
-		t.Fatalf("sink header %q != NDJSONHeader %q", header, want)
+	header := BinaryHeader("fig9-exp1", 1000, 2, 3)
+	if !bytes.Equal(buf.Bytes(), header) {
+		t.Fatalf("sink header %q != BinaryHeader %q", buf.Bytes(), header)
 	}
 	buf.Reset()
 	sink.Result(Result{Point: "a", Index: 0})
 	sink.Result(Result{Point: "a", Index: 1, Err: ErrTimeout})
 	buf.Reset()
 	sink.Finish(Metrics{})
-	if want := NDJSONTrailer(2, 1, 1); !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("sink trailer %q != NDJSONTrailer %q", buf.Bytes(), want)
+	trailer := BinaryTrailer(2, 1, 1)
+	if !bytes.Equal(buf.Bytes(), trailer) {
+		t.Fatalf("sink trailer %q != BinaryTrailer %q", buf.Bytes(), trailer)
+	}
+
+	var nd bytes.Buffer
+	if err := TranscodeBinaryToNDJSON(&nd, append(header, trailer...)); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"kind":"campaign","campaign":"fig9-exp1","seed_base":1000,"points":2,"trials":3}` + "\n" +
+		`{"kind":"end","trials":2,"ok":1,"failed":1}` + "\n"
+	if nd.String() != want {
+		t.Fatalf("frame lines %q, want %q", nd.String(), want)
 	}
 }

@@ -8,9 +8,8 @@ import (
 // Record is the deterministic, format-independent view of one trial
 // result: exactly the fields the NDJSON "result" line carries, nothing
 // the wall clock touches. It is the pivot type of the result codecs —
-// the NDJSON sink, the binary codec and the transcoders all go through
-// Record, which is what makes binary ↔ NDJSON a lossless bijection
-// rather than two encoders that can drift apart.
+// the binary codec and both transcoders go through Record, which is
+// what makes binary ↔ NDJSON a lossless bijection.
 type Record struct {
 	// Point is the owning point's label.
 	Point string
@@ -50,7 +49,7 @@ func NewRecord(r Result) Record {
 // marshalValue renders a trial value as compact JSON. A value that does
 // not marshal (a channel, a cycle) degrades to its fmt representation
 // instead of poisoning the stream; this is the one shared fallback both
-// the NDJSON and JSONL sinks use, so a change here cannot silently miss
+// the Binary and JSONL sinks use, so a change here cannot silently miss
 // one of them.
 func marshalValue(v any) json.RawMessage {
 	if v == nil {
@@ -63,9 +62,9 @@ func marshalValue(v any) json.RawMessage {
 	return raw
 }
 
-// resultLine is the NDJSON "result" line. The sink, the transcoders and
-// the parser share this one struct: its field order and omitempty tags
-// define the canonical line bytes.
+// resultLine is the NDJSON "result" line. NDJSONWriter and the parser
+// share this one struct: its field order and omitempty tags define the
+// canonical line bytes.
 type resultLine struct {
 	Kind     string          `json:"kind"`
 	Point    string          `json:"point"`
@@ -76,6 +75,34 @@ type resultLine struct {
 	Panicked bool            `json:"panicked,omitempty"`
 	TimedOut bool            `json:"timed_out,omitempty"`
 	Value    json.RawMessage `json:"value,omitempty"`
+}
+
+// ndjsonHeader is the NDJSON stream's first line and ndjsonEnd its
+// last; with resultLine they define the canonical line bytes, for
+// NDJSONWriter that renders them and the parser that reads them back.
+type ndjsonHeader struct {
+	Kind     string `json:"kind"`
+	Campaign string `json:"campaign"`
+	SeedBase uint64 `json:"seed_base"`
+	Points   int    `json:"points"`
+	Trials   int    `json:"trials"`
+}
+
+type ndjsonEnd struct {
+	Kind   string `json:"kind"`
+	Trials int    `json:"trials"`
+	Ok     int    `json:"ok"`
+	Failed int    `json:"failed"`
+}
+
+// appendLine appends v's JSON encoding and a newline: the bytes
+// json.Encoder.Encode writes for v.
+func appendLine(dst []byte, v any) ([]byte, error) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return dst, err
+	}
+	return append(append(dst, raw...), '\n'), nil
 }
 
 // line renders the record as its NDJSON line struct.
@@ -94,19 +121,19 @@ func (rec Record) line() resultLine {
 }
 
 // AppendNDJSONLine appends the record's NDJSON line (newline included)
-// exactly as the NDJSON sink writes it.
+// exactly as NDJSONWriter writes it.
 func (rec Record) AppendNDJSONLine(dst []byte) ([]byte, error) {
-	raw, err := json.Marshal(rec.line())
+	dst, err := appendLine(dst, rec.line())
 	if err != nil {
 		return dst, fmt.Errorf("campaign: encoding result line: %w", err)
 	}
-	return append(append(dst, raw...), '\n'), nil
+	return dst, nil
 }
 
 // ParseNDJSONResult parses one NDJSON "result" line (without requiring
-// the trailing newline) back into a Record. For a line produced by the
-// NDJSON sink the parse is lossless: re-rendering the record yields the
-// identical bytes.
+// the trailing newline) back into a Record. For a line produced by
+// NDJSONWriter the parse is lossless: re-rendering the record yields
+// the identical bytes.
 func ParseNDJSONResult(line []byte) (Record, error) {
 	var l resultLine
 	if err := json.Unmarshal(line, &l); err != nil {

@@ -47,16 +47,16 @@ func TestParseNDJSONResultRejects(t *testing.T) {
 	}
 }
 
-// TestSharedValueFallback pins the deduped fallback: both stream sinks
-// render an unmarshalable trial value through the same fmt degradation,
-// so a fix in one cannot silently miss the other.
+// TestSharedValueFallback pins the deduped fallback: the NDJSON stream
+// and the JSONL sink render an unmarshalable trial value through the
+// same fmt degradation, so a fix in one cannot silently miss the other.
 func TestSharedValueFallback(t *testing.T) {
 	spec := &Spec{Name: "fb", SeedBase: 7, Points: []Point{{
 		Label: "p0", Trials: 1,
 		Run: func(Trial) (any, error) { return func() {}, nil },
 	}}}
 	var nb, jb bytes.Buffer
-	r := &Runner{Workers: 1, Sinks: []Sink{NewNDJSON(&nb), NewJSONL(&jb)}}
+	r := &Runner{Workers: 1, Sinks: []Sink{NewBinary(NewNDJSONWriter(&nb)), NewJSONL(&jb)}}
 	if _, err := r.Run(spec); err != nil {
 		t.Fatal(err)
 	}

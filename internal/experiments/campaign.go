@@ -32,7 +32,7 @@ func (o Options) runner(sinks ...campaign.Sink) *campaign.Runner {
 		sinks = append(sinks, campaign.NewJSONL(o.JSONL))
 	}
 	if o.NDJSON != nil {
-		sinks = append(sinks, campaign.NewNDJSON(o.NDJSON))
+		sinks = append(sinks, campaign.NewBinary(campaign.NewNDJSONWriter(o.NDJSON)))
 	}
 	if o.Metrics != nil {
 		sinks = append(sinks, campaign.NewObsJSONL(o.Metrics))

@@ -25,11 +25,12 @@ type Options struct {
 	// JSONL, when non-nil, receives one JSON line per trial (plus campaign
 	// header and metrics trailer lines) for offline analysis.
 	JSONL io.Writer
-	// NDJSON, when non-nil, receives the deterministic result stream
-	// (campaign.NewNDJSON): no wall-clock fields, byte-identical at any
-	// Parallel setting and across runs. This is the stream the serving
-	// daemon caches and replays; the flag exists on cmd/experiments so the
-	// two paths can be diffed directly.
+	// NDJSON, when non-nil, receives the deterministic result stream:
+	// the campaign's binary stream rendered through
+	// campaign.NewNDJSONWriter, with no wall-clock fields, byte-identical
+	// at any Parallel setting and across runs. It is the rendering the
+	// serving daemon answers with; the flag exists on cmd/experiments so
+	// the two paths can be diffed directly.
 	NDJSON io.Writer
 	// Metrics, when non-nil, turns on per-trial observability (a fresh
 	// obs.Hub per trial) and receives the aggregated per-point metric

@@ -11,8 +11,9 @@ import (
 
 // BenchmarkShardPlanMerge measures the coordinator's deterministic core
 // with the network removed: planning a sweep into shards, and merging
-// pre-rendered shard streams (frame validation, ordered collation, frame
-// re-emission) back into one campaign stream. This is the per-campaign
+// pre-rendered binary shard streams (CRC frame validation, ordered
+// collation, frame re-emission under one binary header and trailer)
+// back into one campaign stream, as Run does. This is the per-campaign
 // overhead the fabric adds on top of the workers' own compute, so its
 // allocation count is gated strictly.
 func BenchmarkShardPlanMerge(b *testing.B) {
@@ -41,7 +42,7 @@ func BenchmarkShardPlanMerge(b *testing.B) {
 				b.Fatal(err)
 			}
 			var buf bytes.Buffer
-			runner := campaign.Runner{Workers: 1, Sinks: []campaign.Sink{campaign.NewNDJSON(&buf)}}
+			runner := campaign.Runner{Workers: 1, Sinks: []campaign.Sink{campaign.NewBinary(&buf)}}
 			if _, err := runner.Run(cspec); err != nil {
 				b.Fatal(err)
 			}
@@ -51,14 +52,14 @@ func BenchmarkShardPlanMerge(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			w := io.Discard
-			if _, err := w.Write(campaign.NDJSONHeader(p.Name, p.SeedBase, p.Points, p.Trials)); err != nil {
+			if _, err := w.Write(campaign.BinaryHeader(p.Name, p.SeedBase, p.Points, p.Trials)); err != nil {
 				b.Fatal(err)
 			}
 			coll := campaign.NewCollator[[]byte](0)
 			trials, ok, failed := 0, 0, 0
 			// Reverse order so the collator's pending map does real work.
 			for idx := len(streams) - 1; idx >= 0; idx-- {
-				payload, o, f, err := splitShardStream(streams[idx], p.Shards[idx].Trials)
+				payload, o, f, err := splitBinaryShard(streams[idx], p.Shards[idx].Trials)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -71,7 +72,7 @@ func BenchmarkShardPlanMerge(b *testing.B) {
 					}
 				}
 			}
-			if _, err := w.Write(campaign.NDJSONTrailer(trials, ok, failed)); err != nil {
+			if _, err := w.Write(campaign.BinaryTrailer(trials, ok, failed)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"injectable/internal/campaign"
@@ -98,87 +99,33 @@ func TestSplitBinaryShard(t *testing.T) {
 	}
 }
 
-// TestNormalizeShardBody pins the journal upgrade path: binary bodies
-// pass through untouched, pre-codec NDJSON bodies are re-encoded to the
-// exact frames the binary sink would have produced, and corrupt legacy
-// bodies error rather than merging garbage.
-func TestNormalizeShardBody(t *testing.T) {
-	rec := campaign.Record{Point: "p", Trial: 3, Seed: 77, OK: true, Value: []byte(`{"success":true}`)}
-	bin := campaign.AppendBinaryRecord(nil, rec)
-	got, err := normalizeShardBody(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got[0] != &bin[0] {
-		t.Fatal("binary body was copied, want pass-through")
-	}
-
-	line, err := rec.AppendNDJSONLine(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	upgraded, err := normalizeShardBody(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(upgraded, bin) {
-		t.Fatal("upgraded NDJSON body differs from the binary encoding")
-	}
-
-	if got, err := normalizeShardBody(nil); err != nil || len(got) != 0 {
-		t.Fatalf("empty body = %q, %v", got, err)
-	}
-	if _, err := normalizeShardBody([]byte("{not json\n")); err == nil {
-		t.Fatal("corrupt legacy body accepted")
-	}
-}
-
-// TestFabricResumeLegacyJournal resumes a campaign from shard records
-// whose bodies are NDJSON result lines — the checkpoint format before
-// the binary codec — with no reachable workers. The merged output must
-// still be byte-identical to the serial run, in both output formats.
-func TestFabricResumeLegacyJournal(t *testing.T) {
+// TestFabricResumeRejectsNDJSONJournal: a journal written before the
+// binary codec holds NDJSON result lines as shard bodies. Resuming from
+// one fails with ErrBinaryCorrupt in both output formats; the body is
+// neither upgraded nor copied into the merged stream.
+func TestFabricResumeRejectsNDJSONJournal(t *testing.T) {
 	p := plan(t, 0)
-	reg := serve.DefaultRegistry()
-	var resume []ShardRecord
-	for _, s := range p.Shards {
-		cspec, err := reg.Build(s.Spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		runner := campaign.Runner{Workers: 1, Sinks: []campaign.Sink{campaign.NewNDJSON(&buf)}}
-		if _, err := runner.Run(cspec); err != nil {
-			t.Fatal(err)
-		}
-		body, ok, failed, err := splitShardStream(buf.Bytes(), s.Trials)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resume = append(resume, ShardRecord{Key: s.Key, Index: s.Index, OK: ok, Failed: failed, Body: body})
+	s := p.Shards[len(p.Shards)/2]
+	body, err := campaign.Record{Point: "legacy", Trial: 0, Seed: 1, OK: true}.AppendNDJSONLine(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	for _, tc := range []struct {
-		format string
-		want   []byte
-	}{
-		{serve.FormatNDJSON, serialStream(t)},
-		{serve.FormatBinary, serialBinaryStream(t)},
-	} {
+	resume := []ShardRecord{{Key: s.Key, Index: s.Index, OK: 1, Body: body}}
+	for _, format := range []string{serve.FormatNDJSON, serve.FormatBinary} {
 		var merged bytes.Buffer
 		rep, err := Run(context.Background(), Config{
-			Workers: []string{"http://127.0.0.1:1"}, // unreachable: resume must not dispatch
+			Workers: []string{"http://127.0.0.1:1"}, // unreachable: resume must fail before dispatch
 			Resume:  resume,
-			Format:  tc.format,
+			Format:  format,
 		}, p, &merged)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.format, err)
+		if !errors.Is(err, campaign.ErrBinaryCorrupt) {
+			t.Fatalf("%s: resume from an NDJSON journal: err = %v, want ErrBinaryCorrupt", format, err)
 		}
-		if rep.Dispatched != 0 || rep.Resumed != len(p.Shards) {
-			t.Fatalf("%s: report %+v, want full resume", tc.format, rep)
+		if rep.Dispatched != 0 {
+			t.Fatalf("%s: report %+v, want no dispatch", format, rep)
 		}
-		if !bytes.Equal(merged.Bytes(), tc.want) {
-			t.Fatalf("%s: legacy-journal resume differs from serial run", tc.format)
+		if bytes.Contains(merged.Bytes(), body) {
+			t.Fatalf("%s: the NDJSON body reached the merged stream", format)
 		}
 	}
 }

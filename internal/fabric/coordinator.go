@@ -48,9 +48,9 @@ type Config struct {
 	// Format selects the merged output stream written to w:
 	// serve.FormatNDJSON (the default, byte-identical to a single-process
 	// NDJSON run) or serve.FormatBinary (byte-identical to a
-	// single-process binary run). Shard streams always travel binary
-	// between workers and coordinator regardless of this setting; it only
-	// picks the final rendering.
+	// single-process binary run). Shards travel, journal and merge as
+	// binary frames regardless of this setting; NDJSON only renders the
+	// merged binary stream through campaign.NDJSONWriter on its way to w.
 	Format string
 }
 
@@ -84,15 +84,16 @@ type Report struct {
 	Bytes int64
 }
 
-// mergeWriter adapts the coordinator's byte-counting write closure to
-// io.Writer for the streaming transcoder.
-type mergeWriter func([]byte) error
+// byteCounter adds every byte written through it to *n.
+type byteCounter struct {
+	w io.Writer
+	n *int64
+}
 
-func (f mergeWriter) Write(p []byte) (int, error) {
-	if err := f(p); err != nil {
-		return 0, err
-	}
-	return len(p), nil
+func (c byteCounter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	*c.n += int64(n)
+	return n, err
 }
 
 // outcome is one shard dispatch attempt's result, or a worker obituary.
@@ -115,38 +116,30 @@ type outcome struct {
 // Internally every shard travels as binary trial-record frames: workers
 // answer /v1/run?format=binary (their cached slab, zero-copy on hits),
 // the coordinator validates the frame walk and trailer tallies, journals
-// the raw frames, and merges by concatenation — records are only decoded
-// at the very edge, and only when the merged output is NDJSON.
+// the raw frames, and merges by concatenation under one binary header
+// and trailer — records are only decoded at the very edge, and only when
+// the merged output is NDJSON.
 func Run(ctx context.Context, cfg Config, plan *Plan, w io.Writer) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("fabric: no workers configured")
 	}
-	binaryOut := false
+	rep := &Report{Shards: len(plan.Shards)}
+	var out io.Writer = byteCounter{w, &rep.Bytes}
 	switch cfg.Format {
 	case "", serve.FormatNDJSON:
+		out = campaign.NewNDJSONWriter(out)
 	case serve.FormatBinary:
-		binaryOut = true
 	default:
 		return nil, fmt.Errorf("fabric: unknown output format %q", cfg.Format)
 	}
 	reg := cfg.Hub.Reg()
 	lg := obs.LoggerOr(cfg.Log)
 	cfg.Status.beginPlan(plan, cfg.Workers)
-	rep := &Report{Shards: len(plan.Shards)}
 	lg.Info("campaign starting", "campaign", plan.Key, "shards", len(plan.Shards),
 		"workers", len(cfg.Workers), "trials", plan.Trials)
 
-	countWrite := func(p []byte) error {
-		n, err := w.Write(p)
-		rep.Bytes += int64(n)
-		return err
-	}
-	header := campaign.NDJSONHeader(plan.Name, plan.SeedBase, plan.Points, plan.Trials)
-	if binaryOut {
-		header = campaign.BinaryHeader(plan.Name, plan.SeedBase, plan.Points, plan.Trials)
-	}
-	if err := countWrite(header); err != nil {
+	if _, err := out.Write(campaign.BinaryHeader(plan.Name, plan.SeedBase, plan.Points, plan.Trials)); err != nil {
 		return rep, fmt.Errorf("fabric: writing merged header: %w", err)
 	}
 
@@ -166,14 +159,8 @@ func Run(ctx context.Context, cfg Config, plan *Plan, w io.Writer) (*Report, err
 	}
 	release := func(idx int, payload []byte) error {
 		for _, p := range coll.Add(idx, payload) {
-			if binaryOut {
-				if err := countWrite(p); err != nil {
-					return fmt.Errorf("fabric: writing merged payload: %w", err)
-				}
-				continue
-			}
-			if err := campaign.TranscodeResultFrames(mergeWriter(countWrite), p); err != nil {
-				return fmt.Errorf("fabric: rendering merged payload: %w", err)
+			if _, err := out.Write(p); err != nil {
+				return fmt.Errorf("fabric: writing merged payload: %w", err)
 			}
 		}
 		return nil
@@ -182,8 +169,7 @@ func Run(ctx context.Context, cfg Config, plan *Plan, w io.Writer) (*Report, err
 	var todo []int
 	for _, s := range plan.Shards {
 		if rec, ok := resumed[s.Key]; ok {
-			body, err := normalizeShardBody(rec.Body)
-			if err != nil {
+			if err := checkJournaledBody(rec); err != nil {
 				return rep, err
 			}
 			rep.Resumed++
@@ -191,7 +177,7 @@ func Run(ctx context.Context, cfg Config, plan *Plan, w io.Writer) (*Report, err
 			rep.Failed += rec.Failed
 			reg.Counter("fabric.shards_resumed").Inc()
 			cfg.Status.shardPhase(s.Index, ShardResumed, "")
-			if err := release(s.Index, body); err != nil {
+			if err := release(s.Index, rec.Body); err != nil {
 				return rep, err
 			}
 			continue
@@ -208,11 +194,7 @@ func Run(ctx context.Context, cfg Config, plan *Plan, w io.Writer) (*Report, err
 	}
 
 	rep.Trials = rep.OK + rep.Failed
-	trailer := campaign.NDJSONTrailer(rep.Trials, rep.OK, rep.Failed)
-	if binaryOut {
-		trailer = campaign.BinaryTrailer(rep.Trials, rep.OK, rep.Failed)
-	}
-	if err := countWrite(trailer); err != nil {
+	if _, err := out.Write(campaign.BinaryTrailer(rep.Trials, rep.OK, rep.Failed)); err != nil {
 		cfg.Status.finish(err)
 		return rep, fmt.Errorf("fabric: writing merged trailer: %w", err)
 	}

@@ -22,9 +22,10 @@
 //     coordinator must not mean losing the fleet's work.
 //   - Merger: shard payloads are released in shard order through
 //     campaign.Collator — the exact ordered-collation mechanism the
-//     in-process runner uses for trials — under one global NDJSON
+//     in-process runner uses for trials — under one global binary
 //     header/trailer, so the merged stream is byte-identical to a
-//     single-process run of the whole spec.
+//     single-process run of the whole spec; NDJSON output renders it
+//     through campaign.NDJSONWriter.
 //
 // Determinism is inherited, not re-proven: per-point seed bases are
 // absolute, so a shard's result lines are the same bytes whether the
@@ -61,7 +62,7 @@ type Plan struct {
 	Spec serve.JobSpec
 	// Key is the full campaign's canonical hash.
 	Key string
-	// Name is the campaign name the NDJSON header carries (the campaign
+	// Name is the campaign name the stream header carries (the campaign
 	// spec's Name, e.g. "fig9-exp1" or "scenarioA/lightbulb").
 	Name string
 	// SeedBase, Points and Trials are the header's identity fields.

@@ -31,7 +31,7 @@ func serialStream(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	runner := campaign.Runner{Workers: 1, Sinks: []campaign.Sink{campaign.NewNDJSON(&buf)}}
+	runner := campaign.Runner{Workers: 1, Sinks: []campaign.Sink{campaign.NewBinary(campaign.NewNDJSONWriter(&buf))}}
 	if _, err := runner.Run(cspec); err != nil {
 		t.Fatal(err)
 	}
@@ -316,33 +316,6 @@ type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-// TestSplitShardStream pins the frame validation the merge rests on.
-func TestSplitShardStream(t *testing.T) {
-	stream := []byte(`{"kind":"campaign","campaign":"x","seed_base":1,"points":1,"trials":2}` + "\n" +
-		`{"kind":"result","point":"a","trial":0,"seed":1,"ok":true}` + "\n" +
-		`{"kind":"result","point":"a","trial":1,"seed":2,"ok":false,"err":"boom"}` + "\n" +
-		`{"kind":"end","trials":2,"ok":1,"failed":1}` + "\n")
-	payload, ok, failed, err := splitShardStream(stream, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok != 1 || failed != 1 {
-		t.Fatalf("tallies %d/%d, want 1/1", ok, failed)
-	}
-	if !bytes.HasPrefix(payload, []byte(`{"kind":"result"`)) || !bytes.HasSuffix(payload, []byte("\"boom\"}\n")) {
-		t.Fatalf("payload mis-trimmed: %q", payload)
-	}
-	if _, _, _, err := splitShardStream(stream, 3); err == nil {
-		t.Fatal("trial-count mismatch accepted (cancelled shard would merge short)")
-	}
-	if _, _, _, err := splitShardStream(stream[:len(stream)-2], 2); err == nil {
-		t.Fatal("torn stream accepted")
-	}
-	if _, _, _, err := splitShardStream([]byte("{}\n"), 0); err == nil {
-		t.Fatal("frameless stream accepted")
-	}
-}
-
 // TestFabricScenarioByteIdentical: a declarative scenario sweep shards
 // across workers exactly like a catalog sweep — the coordinator plans by
 // point range over the compiled expansion, and the merged stream is
@@ -364,7 +337,7 @@ func TestFabricScenarioByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var serial bytes.Buffer
-	runner := campaign.Runner{Workers: 1, Sinks: []campaign.Sink{campaign.NewNDJSON(&serial)}}
+	runner := campaign.Runner{Workers: 1, Sinks: []campaign.Sink{campaign.NewBinary(campaign.NewNDJSONWriter(&serial))}}
 	if _, err := runner.Run(cspec); err != nil {
 		t.Fatal(err)
 	}

@@ -46,9 +46,10 @@ type ShardRecord struct {
 	OK     int
 	Failed int
 	// Body is the shard's trimmed payload with the per-shard header and
-	// trailer frames removed: raw binary result frames in current
-	// journals, NDJSON result lines in journals written before the
-	// binary codec (normalizeShardBody upgrades those on resume).
+	// trailer frames removed: raw binary result frames only. A journal
+	// written before the binary codec holds NDJSON result lines here;
+	// resuming from it fails with campaign.ErrBinaryCorrupt, so start a
+	// fresh -journal.
 	Body []byte
 }
 

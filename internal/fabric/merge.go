@@ -1,61 +1,18 @@
 package fabric
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
+	"slices"
 
 	"injectable/internal/campaign"
 )
 
-// shardFrame is the subset of the per-shard NDJSON frame lines the
-// coordinator inspects before trusting a worker's stream.
-type shardFrame struct {
-	Kind   string `json:"kind"`
-	Trials int    `json:"trials"`
-	Ok     int    `json:"ok"`
-	Failed int    `json:"failed"`
-}
-
-// splitShardStream validates one worker's NDJSON stream for a shard and
-// strips its frame: the first line must be a "campaign" header, the last
-// a complete "end" trailer whose trial count matches the shard (a
-// cancelled or torn stream is a prefix and fails here, turning into a
-// redispatch instead of a silently short merge). It returns the payload
-// — the result lines between the frame — plus the trailer tallies.
-func splitShardStream(stream []byte, wantTrials int) (payload []byte, ok, failed int, err error) {
-	head := bytes.IndexByte(stream, '\n')
-	if head < 0 {
-		return nil, 0, 0, fmt.Errorf("fabric: shard stream has no header line (%d bytes)", len(stream))
-	}
-	var hdr shardFrame
-	if jerr := json.Unmarshal(stream[:head], &hdr); jerr != nil || hdr.Kind != "campaign" {
-		return nil, 0, 0, fmt.Errorf("fabric: shard stream does not open with a campaign header: %.80q", stream[:head])
-	}
-	if stream[len(stream)-1] != '\n' {
-		return nil, 0, 0, fmt.Errorf("fabric: shard stream ends mid-line (torn worker stream)")
-	}
-	tail := bytes.LastIndexByte(stream[:len(stream)-1], '\n')
-	if tail < head {
-		return nil, 0, 0, fmt.Errorf("fabric: shard stream has no trailer line")
-	}
-	var end shardFrame
-	if jerr := json.Unmarshal(stream[tail+1:], &end); jerr != nil || end.Kind != "end" {
-		return nil, 0, 0, fmt.Errorf("fabric: shard stream does not close with an end trailer: %.80q", stream[tail+1:])
-	}
-	if end.Trials != wantTrials {
-		return nil, 0, 0, fmt.Errorf("fabric: shard stream holds %d trials, want %d (worker cancelled mid-shard?)",
-			end.Trials, wantTrials)
-	}
-	return stream[head+1 : tail+1], end.Ok, end.Failed, nil
-}
-
-// splitBinaryShard is splitShardStream for the binary trial-record
-// format workers now stream: it CRC-validates the frame walk, strips
-// the header and end frames, and checks the trailer's trial count
-// against the shard (a cancelled worker yields a torn stream, which the
-// frame walk rejects — a redispatch, never a silently short merge). The
-// returned payload aliases stream and is raw result frames the merger
+// splitBinaryShard validates one worker's binary stream for a shard and
+// strips its frame: it CRC-validates the frame walk, strips the header
+// and end frames, and checks the trailer's trial count against the
+// shard (a cancelled worker yields a torn stream, which the frame walk
+// rejects — a redispatch, never a silently short merge). The returned
+// payload aliases stream and is raw result frames the merger
 // concatenates without decoding a single record.
 func splitBinaryShard(stream []byte, wantTrials int) (payload []byte, ok, failed int, err error) {
 	_, payload, tallies, err := campaign.SplitBinaryStream(stream)
@@ -69,26 +26,15 @@ func splitBinaryShard(stream []byte, wantTrials int) (payload []byte, ok, failed
 	return payload, tallies.OK, tallies.Failed, nil
 }
 
-// normalizeShardBody upgrades a checkpointed shard body to the binary
-// result-frame form the merger works in. Journals written before the
-// binary codec hold NDJSON result lines — those always open with '{',
-// a byte no binary frame starts with ('R' = 0x52) — so resume keeps
-// working across the format change instead of recomputing the fleet's
-// finished shards.
-func normalizeShardBody(body []byte) ([]byte, error) {
-	if len(body) == 0 || body[0] != '{' {
-		return body, nil
+// checkJournaledBody checks that a checkpointed shard body is what
+// splitBinaryShard journaled: a CRC-valid region of result frames, which
+// SplitBinaryStream accepts between an empty header and trailer. A body
+// that is not — a journal written before the binary codec holds NDJSON
+// lines — fails the resume with ErrBinaryCorrupt.
+func checkJournaledBody(rec ShardRecord) error {
+	stream := slices.Concat(campaign.BinaryHeader("", 0, 0, 0), rec.Body, campaign.BinaryTrailer(0, 0, 0))
+	if _, _, _, err := campaign.SplitBinaryStream(stream); err != nil {
+		return fmt.Errorf("fabric: journaled shard %s (start a fresh journal): %w", rec.Key, err)
 	}
-	out := make([]byte, 0, len(body))
-	for _, line := range bytes.Split(body, []byte{'\n'}) {
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := campaign.ParseNDJSONResult(line)
-		if err != nil {
-			return nil, fmt.Errorf("fabric: upgrading journaled NDJSON shard body: %w", err)
-		}
-		out = campaign.AppendBinaryRecord(out, rec)
-	}
-	return out, nil
+	return nil
 }

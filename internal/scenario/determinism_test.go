@@ -38,7 +38,7 @@ func runWorkers(t *testing.T, spec *campaign.Spec, workers int) ([]byte, []byte)
 	t.Helper()
 	var nd, bin bytes.Buffer
 	runner := campaign.Runner{Workers: workers, Sinks: []campaign.Sink{
-		campaign.NewNDJSON(&nd), campaign.NewBinary(&bin),
+		campaign.NewBinary(campaign.NewNDJSONWriter(&nd)), campaign.NewBinary(&bin),
 	}}
 	if _, err := runner.Run(spec); err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func runStreams(t *testing.T, spec *campaign.Spec) ([]byte, []byte) {
 	t.Helper()
 	var nd, bin bytes.Buffer
 	runner := campaign.Runner{Workers: 1, Sinks: []campaign.Sink{
-		campaign.NewNDJSON(&nd), campaign.NewBinary(&bin),
+		campaign.NewBinary(campaign.NewNDJSONWriter(&nd)), campaign.NewBinary(&bin),
 	}}
 	if _, err := runner.Run(spec); err != nil {
 		t.Fatal(err)

@@ -16,11 +16,14 @@ import (
 // The stream digest manifest pins the binary result stream of every
 // servable campaign — each catalog sweep, each scenario × target, the
 // fork warmup of two Fig. 9 sweeps and each committed example spec — at
-// small trial counts and one fixed seed base. Byte identity of these
-// streams is the repository's determinism contract, so any change to
-// them must show up as a reviewed diff of the manifest file. There is no
-// update flag: on a mismatch the test prints the recomputed manifest,
-// which is the intended replacement when the drift is deliberate.
+// small trial counts and one fixed seed base, and beside it the stream's
+// NDJSON rendering (the "<label> ndjson" lines), whose digests were
+// recorded from the standalone NDJSON encoder the renderer replaced.
+// Byte identity of these streams is the repository's determinism
+// contract, so any change to them must show up as a reviewed diff of the
+// manifest file. There is no update flag: on a mismatch the test prints
+// the recomputed manifest, which is the intended replacement when the
+// drift is deliberate.
 
 const (
 	digestManifest = "testdata/stream_digests.sha256"
@@ -104,9 +107,14 @@ func TestStreamDigestManifest(t *testing.T) {
 		if _, err := runner.Run(cspec); err != nil {
 			t.Fatalf("%s: %v", job.label, err)
 		}
+		var nd bytes.Buffer
+		if err := campaign.TranscodeBinaryToNDJSON(&nd, buf.Bytes()); err != nil {
+			t.Fatalf("%s: rendering NDJSON: %v", job.label, err)
+		}
 		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256(buf.Bytes()), job.label)
+		fmt.Fprintf(&got, "%x  %s ndjson\n", sha256.Sum256(nd.Bytes()), job.label)
 	}
 	if got.String() != string(want) {
-		t.Errorf("binary streams differ from %s; recomputed manifest:\n%s", digestManifest, got.String())
+		t.Errorf("result streams differ from %s; recomputed manifest:\n%s", digestManifest, got.String())
 	}
 }

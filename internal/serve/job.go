@@ -107,7 +107,7 @@ type JobInfo struct {
 
 // streamBuf is a broadcast byte buffer: one writer appends, any number of
 // readers consume from their own offset, blocking until more bytes arrive
-// or the stream is sealed. Sealing is idempotent. The campaign NDJSON
+// or the stream is sealed. Sealing is idempotent. The campaign's Binary
 // sink writes into it, so every subscriber — including ones that attach
 // mid-run — observes the exact same byte sequence.
 type streamBuf struct {

@@ -222,7 +222,7 @@ func TestScenarioEndpointServesAndCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref bytes.Buffer
-	runner := campaign.Runner{Workers: 1, Sinks: []campaign.Sink{campaign.NewNDJSON(&ref)}}
+	runner := campaign.Runner{Workers: 1, Sinks: []campaign.Sink{campaign.NewBinary(campaign.NewNDJSONWriter(&ref))}}
 	if _, err := runner.Run(camp); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -233,12 +233,22 @@ func (s *Server) runJob(j *job) {
 	s.cfg.Hub.Spans().Add(obs.NewSpan(j.trace, "queue", j.submitted,
 		"job", j.id, "experiment", j.spec.Experiment))
 
-	// finish makes the job terminal; entry is its cacheable stream, nil
-	// when the run did not complete cleanly.
-	finish := func(status JobStatus, errMsg string, entry *cached) {
-		j.buf.seal()
-		j.setStatus(status, errMsg)
+	// finish makes the job terminal, caching its stream when cacheable
+	// (the run completed cleanly). Sealing the stream, closing done and
+	// retiring the job happen in one s.mu section, and a resubmission
+	// takes s.mu too: a client that has read the whole stream, or seen
+	// the job end, and resubmits finds it cached, never live.
+	finish := func(status JobStatus, errMsg string, cacheable bool) {
 		s.mu.Lock()
+		j.buf.seal()
+		var entry *cached
+		if cacheable {
+			// The sealed buffer is immutable, so the cache can adopt it
+			// without copying; hits replay the same slab zero-copy.
+			slab, _ := j.buf.sealedBytes()
+			entry = &cached{jobID: j.id, slab: slab}
+		}
+		j.setStatus(status, errMsg)
 		if s.live[j.key] == j {
 			delete(s.live, j.key)
 		}
@@ -261,13 +271,13 @@ func (s *Server) runJob(j *job) {
 	}
 
 	if j.canceledCtx.Err() != nil {
-		finish(StatusCanceled, "canceled while queued", nil)
+		finish(StatusCanceled, "canceled while queued", false)
 		return
 	}
 
 	cspec, err := s.cfg.Registry.Build(j.spec)
 	if err != nil {
-		finish(StatusFailed, err.Error(), nil)
+		finish(StatusFailed, err.Error(), false)
 		return
 	}
 
@@ -292,13 +302,13 @@ func (s *Server) runJob(j *job) {
 	out, err := runner.RunContext(ctx, cspec)
 	switch {
 	case errors.Is(err, context.Canceled):
-		finish(StatusCanceled, "canceled", nil)
+		finish(StatusCanceled, "canceled", false)
 		return
 	case errors.Is(err, context.DeadlineExceeded):
-		finish(StatusFailed, "deadline exceeded", nil)
+		finish(StatusFailed, "deadline exceeded", false)
 		return
 	case err != nil:
-		finish(StatusFailed, err.Error(), nil)
+		finish(StatusFailed, err.Error(), false)
 		return
 	}
 	// Only a cleanly completed stream is cacheable: cancellation and
@@ -306,18 +316,11 @@ func (s *Server) runJob(j *job) {
 	// replay must be byte-identical to a fresh run.
 	for _, res := range out.Results {
 		if res.TimedOut {
-			finish(StatusDone, "", nil)
+			finish(StatusDone, "", false)
 			return
 		}
 	}
-	j.buf.seal()
-	var entry *cached
-	if slab, ok := j.buf.sealedBytes(); ok {
-		// The sealed buffer is immutable, so the cache can adopt it
-		// without copying; hits replay the same slab zero-copy.
-		entry = &cached{jobID: j.id, slab: slab}
-	}
-	finish(StatusDone, "", entry)
+	finish(StatusDone, "", true)
 }
 
 // retire files a terminal job; s.mu must be held. A cached stream keeps
@@ -679,9 +682,9 @@ func jobQuery(r *http.Request) (JobSpec, error) {
 // serveStream writes job j's result stream in the negotiated format.
 // Completed streams go out zero-copy: binary replays the sealed slab
 // itself, NDJSON replays the per-cache-entry memoized transcode. Live
-// streams flow through the broadcast buffer — transcoded frame-by-frame
-// for NDJSON/SSE subscribers — so every consumer sees per-trial results
-// as they land.
+// streams flow from the broadcast buffer — through NDJSONWriter for
+// NDJSON subscribers — so every consumer sees per-trial results as they
+// land, and the response ends when the buffer is sealed.
 func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, j *job, format string) {
 	switch format {
 	case FormatBinary:
@@ -690,7 +693,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, j *job, for
 			s.writeSlab(w, slab)
 			return
 		}
-		s.streamCopy(w, j.buf.reader(r.Context()))
+		streamCopy(w, s.egress(w), j.buf.reader(r.Context()))
 	case formatSSE:
 		s.streamSSE(w, r, j)
 	default:
@@ -699,7 +702,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, j *job, for
 			s.writeSlab(w, nd)
 			return
 		}
-		s.streamCopy(w, campaign.NewBinaryNDJSONReader(j.buf.reader(r.Context())))
+		streamCopy(w, campaign.NewNDJSONWriter(s.egress(w)), j.buf.reader(r.Context()))
 	}
 }
 
@@ -866,20 +869,36 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(spans)
 }
 
-// streamCopy copies the job stream to the client, flushing as bytes
-// arrive so subscribers see per-trial results live. Every byte sent is
-// counted in serve.stream_bytes, so egress volume is visible fleet-wide.
-func (s *Server) streamCopy(w http.ResponseWriter, src interface{ Read([]byte) (int, error) }) {
+// egress wraps a response so every byte sent is counted in
+// serve.stream_bytes, making egress volume visible fleet-wide.
+func (s *Server) egress(w io.Writer) io.Writer {
+	return countingWriter{w, s.reg().Counter("serve.stream_bytes")}
+}
+
+type countingWriter struct {
+	w io.Writer
+	n *obs.Counter
+}
+
+func (c countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// streamCopy copies a job's live stream from src into dst — the
+// response itself or a rendering onto it — flushing w after each chunk
+// so subscribers see per-trial results live. It returns at the
+// stream's EOF, which the job's seal delivers, or on the first error.
+func streamCopy(w http.ResponseWriter, dst io.Writer, src io.Reader) {
 	fl, _ := w.(http.Flusher)
-	egress := s.reg().Counter("serve.stream_bytes")
 	buf := make([]byte, 32*1024)
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
+			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return
 			}
-			egress.Add(int64(n))
 			if fl != nil {
 				fl.Flush()
 			}
@@ -890,25 +909,25 @@ func (s *Server) streamCopy(w http.ResponseWriter, src interface{ Read([]byte) (
 	}
 }
 
+// sseEvents reframes each NDJSON line — NDJSONWriter writes one per
+// Write — as a server-sent "result" event.
+type sseEvents struct{ w io.Writer }
+
+func (e sseEvents) Write(line []byte) (int, error) {
+	if _, err := fmt.Fprintf(e.w, "event: result\ndata: %s\n\n", bytes.TrimSuffix(line, []byte("\n"))); err != nil {
+		return 0, err
+	}
+	return len(line), nil
+}
+
 // streamSSE reframes the stream as server-sent events: one "result"
-// event per NDJSON line (transcoded live from the binary buffer), then
-// a terminal "end" event.
+// event per NDJSON line, then a terminal "end" event.
 func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, j *job) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
-	fl, _ := w.(http.Flusher)
-	sc := bufio.NewScanner(campaign.NewBinaryNDJSONReader(j.buf.reader(r.Context())))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		if _, err := fmt.Fprintf(w, "event: result\ndata: %s\n\n", sc.Bytes()); err != nil {
-			return
-		}
-		if fl != nil {
-			fl.Flush()
-		}
-	}
+	streamCopy(w, campaign.NewNDJSONWriter(sseEvents{w}), j.buf.reader(r.Context()))
 	fmt.Fprint(w, "event: end\ndata: {}\n\n")
-	if fl != nil {
+	if fl, ok := w.(http.Flusher); ok {
 		fl.Flush()
 	}
 }

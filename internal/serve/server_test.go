@@ -143,7 +143,7 @@ func TestRunDeterministicUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := campaign.Runner{Workers: 1, Sinks: []campaign.Sink{campaign.NewNDJSON(&ref)}}
+	runner := campaign.Runner{Workers: 1, Sinks: []campaign.Sink{campaign.NewBinary(campaign.NewNDJSONWriter(&ref))}}
 	if _, err := runner.Run(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestServedScenarioMatchesSerialCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref bytes.Buffer
-	runner := campaign.Runner{Workers: 1, Sinks: []campaign.Sink{campaign.NewNDJSON(&ref)}}
+	runner := campaign.Runner{Workers: 1, Sinks: []campaign.Sink{campaign.NewBinary(campaign.NewNDJSONWriter(&ref))}}
 	if _, err := runner.Run(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -362,6 +362,56 @@ func TestDrainFinishesAcceptedRejectsNew(t *testing.T) {
 		if info.Status != StatusDone {
 			t.Errorf("job %s after drain: status %s, want done", id, info.Status)
 		}
+	}
+}
+
+// TestStreamEOFImpliesCached pins the retirement order: a job's stream
+// reaches EOF only once the job is cached, so a client that has read the
+// whole stream and resubmits gets a hit, never a join. The test holds
+// s.mu across the job's completion; the stream must stay open until it
+// lets go.
+func TestStreamEOFImpliesCached(t *testing.T) {
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	s := NewServer(Config{Registry: stubRegistry(nil, started, release), JobWorkers: 1})
+	defer s.Close()
+
+	spec := JobSpec{Experiment: "slow", Trials: 1, SeedBase: 401}
+	j, disp, err := s.Submit(spec)
+	if err != nil || disp != "miss" {
+		t.Fatalf("submit: %s, %v", disp, err)
+	}
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("job never started")
+	}
+	eof := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(io.Discard, j.buf.reader(context.Background()))
+		eof <- err
+	}()
+
+	s.mu.Lock()
+	close(release)
+	select {
+	case <-eof:
+		s.mu.Unlock()
+		t.Fatal("stream reached EOF while the job was not yet retired")
+	case <-time.After(200 * time.Millisecond):
+	}
+	s.mu.Unlock()
+
+	select {
+	case err := <-eof:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream never reached EOF")
+	}
+	if _, disp, err := s.Submit(spec); err != nil || disp != "hit" {
+		t.Fatalf("resubmit after EOF: %s, %v; want hit", disp, err)
 	}
 }
 

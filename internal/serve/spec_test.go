@@ -154,7 +154,7 @@ func TestPointRangeSlicesStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		runner := campaign.Runner{Workers: 2, Sinks: []campaign.Sink{campaign.NewNDJSON(&buf)}}
+		runner := campaign.Runner{Workers: 2, Sinks: []campaign.Sink{campaign.NewBinary(campaign.NewNDJSONWriter(&buf))}}
 		if _, err := runner.Run(cspec); err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestWarmupStreamsMatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		runner := campaign.Runner{Workers: 3, Sinks: []campaign.Sink{campaign.NewNDJSON(&buf)}}
+		runner := campaign.Runner{Workers: 3, Sinks: []campaign.Sink{campaign.NewBinary(campaign.NewNDJSONWriter(&buf))}}
 		if _, err := runner.Run(cspec); err != nil {
 			t.Fatal(err)
 		}
