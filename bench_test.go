@@ -208,14 +208,14 @@ func BenchmarkFig9Exp3Wall(b *testing.B) {
 
 // --- §VI attack scenarios --------------------------------------------------------
 
-func benchScenario(b *testing.B, run func(string, uint64, bool) (experiments.ScenarioOutcome, error), seedBase uint64) {
+func benchScenario(b *testing.B, name string, seedBase uint64) {
 	b.Helper()
 	for _, target := range experiments.ScenarioTargets() {
 		target := target
 		b.Run(target, func(b *testing.B) {
 			ok := 0
 			for i := 0; i < b.N; i++ {
-				out, err := run(target, seedBase+uint64(i), false)
+				out, err := experiments.RunScenario(name, target, seedBase+uint64(i), false, experiments.Instrumentation{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -228,17 +228,17 @@ func benchScenario(b *testing.B, run func(string, uint64, bool) (experiments.Sce
 	}
 }
 
-func BenchmarkScenarioA(b *testing.B) { benchScenario(b, experiments.RunScenarioA, 500) }
-func BenchmarkScenarioB(b *testing.B) { benchScenario(b, experiments.RunScenarioB, 600) }
-func BenchmarkScenarioC(b *testing.B) { benchScenario(b, experiments.RunScenarioC, 700) }
-func BenchmarkScenarioD(b *testing.B) { benchScenario(b, experiments.RunScenarioD, 800) }
+func BenchmarkScenarioA(b *testing.B) { benchScenario(b, "scenarioA", 500) }
+func BenchmarkScenarioB(b *testing.B) { benchScenario(b, "scenarioB", 600) }
+func BenchmarkScenarioC(b *testing.B) { benchScenario(b, "scenarioC", 700) }
+func BenchmarkScenarioD(b *testing.B) { benchScenario(b, "scenarioD", 800) }
 
 // --- §IV countermeasure and §VIII IDS ----------------------------------------------
 
 func BenchmarkEncryptedInjection(b *testing.B) {
 	dos := 0
 	for i := 0; i < b.N; i++ {
-		out, err := experiments.RunEncryptedInjection(uint64(i) + 900)
+		out, err := experiments.RunEncryptedInjection(uint64(i)+900, experiments.Instrumentation{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func BenchmarkEncryptedInjection(b *testing.B) {
 func BenchmarkIDSDetection(b *testing.B) {
 	detected := 0
 	for i := 0; i < b.N; i++ {
-		out, err := experiments.RunScenarioA("lightbulb", uint64(i)+950, true)
+		out, err := experiments.RunScenario("scenarioA", "lightbulb", uint64(i)+950, true, experiments.Instrumentation{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -336,7 +336,7 @@ func BenchmarkAblationInjectionTiming(b *testing.B) {
 func BenchmarkKeystrokeInjection(b *testing.B) {
 	ok := 0
 	for i := 0; i < b.N; i++ {
-		out, err := experiments.RunScenarioKeystrokes(uint64(i)+1200, false)
+		out, err := experiments.RunScenario("keystrokes", "", uint64(i)+1200, false, experiments.Instrumentation{})
 		if err != nil {
 			b.Fatal(err)
 		}

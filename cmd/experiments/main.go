@@ -163,17 +163,17 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return nil
 		}
 	}
-	scenarioRunner := func(title string, scRun func(string, uint64, bool) (experiments.ScenarioOutcome, error)) func() error {
+	scenarioRunner := func(name, title string) func() error {
 		return func() error {
 			var outcomes []experiments.ScenarioOutcome
 			for _, target := range experiments.ScenarioTargets() {
-				out, err := scRun(target, *seed, false)
+				out, err := experiments.RunScenario(name, target, *seed, false, experiments.Instrumentation{})
 				if err != nil {
 					return err
 				}
 				outcomes = append(outcomes, out)
 			}
-			fmt.Fprintln(stdout, experiments.ScenarioTable("", title, outcomes).Render())
+			fmt.Fprintln(stdout, experiments.ScenarioTable(title, outcomes).Render())
 			return nil
 		}
 	}
@@ -217,12 +217,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, experiments.CounterfactualTable(pts).Render())
 			return nil
 		},
-		"scenarioA": scenarioRunner("scenario A — illegitimate feature use (§VI-A)", experiments.RunScenarioA),
-		"scenarioB": scenarioRunner("scenario B — slave hijack (§VI-B)", experiments.RunScenarioB),
-		"scenarioC": scenarioRunner("scenario C — master hijack (§VI-C)", experiments.RunScenarioC),
-		"scenarioD": scenarioRunner("scenario D — man-in-the-middle (§VI-D)", experiments.RunScenarioD),
+		"scenarioA": scenarioRunner("scenarioA", "scenario A — illegitimate feature use (§VI-A)"),
+		"scenarioB": scenarioRunner("scenarioB", "scenario B — slave hijack (§VI-B)"),
+		"scenarioC": scenarioRunner("scenarioC", "scenario C — master hijack (§VI-C)"),
+		"scenarioD": scenarioRunner("scenarioD", "scenario D — man-in-the-middle (§VI-D)"),
 		"keystrokes": func() error {
-			out, err := experiments.RunScenarioKeystrokes(*seed, false)
+			out, err := experiments.RunScenario("keystrokes", "", *seed, false, experiments.Instrumentation{})
 			if err != nil {
 				return err
 			}
@@ -238,7 +238,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return nil
 		},
 		"encrypted": func() error {
-			out, err := experiments.RunEncryptedInjection(*seed)
+			out, err := experiments.RunEncryptedInjection(*seed, experiments.Instrumentation{})
 			if err != nil {
 				return err
 			}
@@ -366,20 +366,12 @@ func runIDS(stdout io.Writer, seed uint64) error {
 			fmt.Sprintf("%d", alerts[ids.AlertJamming]),
 		})
 	}
-	for _, sc := range []struct {
-		name string
-		run  func(string, uint64, bool) (experiments.ScenarioOutcome, error)
-	}{
-		{"scenario A", experiments.RunScenarioA},
-		{"scenario B", experiments.RunScenarioB},
-		{"scenario C", experiments.RunScenarioC},
-		{"scenario D", experiments.RunScenarioD},
-	} {
-		out, err := sc.run("lightbulb", seed, true)
+	for _, sc := range []string{"A", "B", "C", "D"} {
+		out, err := experiments.RunScenario("scenario"+sc, "lightbulb", seed, true, experiments.Instrumentation{})
 		if err != nil {
 			return err
 		}
-		row(sc.name, out.IDSAlerts)
+		row("scenario "+sc, out.IDSAlerts)
 	}
 	fmt.Fprintln(stdout, t.Render())
 	return nil

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -103,5 +105,33 @@ func TestNDJSONMatchesServedCampaign(t *testing.T) {
 	if !bytes.Equal(cli, res.Body) {
 		t.Errorf("CLI -ndjson differs from served campaign:\n%s\n--- vs ---\n%s",
 			cli, res.Body)
+	}
+}
+
+// The run-all manifest pins the stdout of `-run all -trials 3 -q` at two
+// seed bases by SHA-256: every table, figure, scenario, baseline,
+// countermeasure and IDS study the command prints. The figure, baseline,
+// countermeasure, IDS-study and encrypted worlds are covered by no stream
+// manifest, so this is their byte-level reference. There is no update
+// flag: on a mismatch the test prints the recomputed manifest, which is
+// the intended replacement when the drift is deliberate.
+const runAllManifest = "testdata/run_all.sha256"
+
+func TestRunAllStdoutManifest(t *testing.T) {
+	want, err := os.ReadFile(runAllManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, seed := range []string{"1000", "2024"} {
+		argv := []string{"-run", "all", "-trials", "3", "-q", "-seed", seed}
+		var stdout, stderr strings.Builder
+		if code := run(argv, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v exited %d: %s", argv, code, stderr.String())
+		}
+		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256([]byte(stdout.String())), strings.Join(argv, " "))
+	}
+	if got.String() != string(want) {
+		t.Errorf("stdout differs from %s; recomputed manifest:\n%s", runAllManifest, got.String())
 	}
 }

@@ -25,8 +25,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"injectable/internal/experiments"
+	"injectable/internal/ids"
 	"injectable/internal/obs"
 	"injectable/internal/pcap"
 	"injectable/internal/sim"
@@ -146,13 +148,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 func runScenario(scenario, target string, seed uint64, withIDS bool, inst experiments.Instrumentation, stdout io.Writer) (int, error) {
 	switch scenario {
 	case "A", "B", "C", "D":
-		run := map[string]func(string, uint64, bool, experiments.Instrumentation) (experiments.ScenarioOutcome, error){
-			"A": experiments.RunScenarioAWith,
-			"B": experiments.RunScenarioBWith,
-			"C": experiments.RunScenarioCWith,
-			"D": experiments.RunScenarioDWith,
-		}[scenario]
-		out, err := run(target, seed, withIDS, inst)
+		out, err := experiments.RunScenario("scenario"+scenario, target, seed, withIDS, inst)
 		if err != nil {
 			return 0, err
 		}
@@ -162,15 +158,22 @@ func runScenario(scenario, target string, seed uint64, withIDS bool, inst experi
 			if len(out.IDSAlerts) == 0 {
 				fmt.Fprintln(stdout, "IDS: no alerts")
 			}
-			for kind, n := range out.IDSAlerts {
-				fmt.Fprintf(stdout, "IDS: %d × %s\n", n, kind)
+			// Map order varies run to run; print by kind so stdout is
+			// deterministic per seed.
+			kinds := make([]ids.AlertKind, 0, len(out.IDSAlerts))
+			for kind := range out.IDSAlerts {
+				kinds = append(kinds, kind)
+			}
+			slices.Sort(kinds)
+			for _, kind := range kinds {
+				fmt.Fprintf(stdout, "IDS: %d × %s\n", out.IDSAlerts[kind], kind)
 			}
 		}
 		if !out.Success {
 			return 1, nil
 		}
 	case "keyboard":
-		out, err := experiments.RunScenarioKeystrokesWith(seed, withIDS, inst)
+		out, err := experiments.RunScenario("keystrokes", "", seed, withIDS, inst)
 		if err != nil {
 			return 0, err
 		}
@@ -180,7 +183,7 @@ func runScenario(scenario, target string, seed uint64, withIDS bool, inst experi
 			return 1, nil
 		}
 	case "encrypted":
-		out, err := experiments.RunEncryptedInjectionWith(seed, inst)
+		out, err := experiments.RunEncryptedInjection(seed, inst)
 		if err != nil {
 			return 0, err
 		}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,5 +63,65 @@ func TestRunScenarioAWithForensicsAndMetrics(t *testing.T) {
 	}
 	if len(bytes.TrimSpace(b)) == 0 {
 		t.Fatal("metrics file is empty")
+	}
+}
+
+// The instrumented-output manifest pins every byte cmd/injectable writes
+// with the full observability surface on — stdout (IDS alert lines
+// included), the metrics file, the Chrome trace and the pcap capture —
+// for each scenario against each target at one seed. The tracer, the pcap
+// tap and the IDS alert maps of the scenario worlds are covered nowhere
+// else. There is no update flag: on a mismatch the test prints the
+// recomputed manifest, which is the intended replacement when the drift
+// is deliberate.
+const instrumentedManifest = "testdata/instrumented_outputs.sha256"
+
+// instrumentedRuns lists the manifest's runs as (label, scenario, target).
+func instrumentedRuns() [][3]string {
+	var runs [][3]string
+	for _, sc := range []string{"A", "B", "C", "D"} {
+		for _, target := range []string{"lightbulb", "keyfob", "smartwatch"} {
+			runs = append(runs, [3]string{sc + "/" + target, sc, target})
+		}
+	}
+	return append(runs, [3]string{"keyboard", "keyboard", "lightbulb"},
+		[3]string{"encrypted", "encrypted", "lightbulb"})
+}
+
+func TestInstrumentedOutputManifest(t *testing.T) {
+	want, err := os.ReadFile(instrumentedManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, r := range instrumentedRuns() {
+		label, sc, target := r[0], r[1], r[2]
+		dir := t.TempDir()
+		files := []struct{ flag, name string }{
+			{"-metrics", "metrics.jsonl"},
+			{"-chrome-trace", "trace.json"},
+			{"-pcap", "capture.pcap"},
+		}
+		argv := []string{"-scenario", sc, "-target", target, "-seed", "3", "-ids", "-forensics"}
+		for _, f := range files {
+			argv = append(argv, f.flag, filepath.Join(dir, f.name))
+		}
+		code, stdout, stderr := runCLI(t, argv...)
+		if code != 0 && code != 1 {
+			t.Fatalf("%s: exit %d\nstderr: %s", label, code, stderr)
+		}
+		// The banners name the output files; drop the per-run directory.
+		stdout = strings.ReplaceAll(stdout, dir+string(filepath.Separator), "")
+		fmt.Fprintf(&got, "%x  %s stdout\n", sha256.Sum256([]byte(stdout)), label)
+		for _, f := range files {
+			b, err := os.ReadFile(filepath.Join(dir, f.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "%x  %s %s\n", sha256.Sum256(b), label, f.name)
+		}
+	}
+	if got.String() != string(want) {
+		t.Errorf("outputs differ from %s; recomputed manifest:\n%s", instrumentedManifest, got.String())
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"injectable/internal/ble"
-	"injectable/internal/devices"
 	"injectable/internal/host"
 	"injectable/internal/ids"
 	"injectable/internal/injectable"
@@ -33,32 +32,23 @@ type BaselineOutcome struct {
 // the connection through its supervision timeout, then adopt the master
 // role. Loud and slow compared to scenario C's single forged frame.
 func RunBTLEJackBaseline(seed uint64) (BaselineOutcome, error) {
-	w := host.NewWorld(host.WorldConfig{Seed: seed})
 	out := BaselineOutcome{Name: "btlejack-jam-hijack", Detail: "jam slave responses until master times out"}
-
-	bulbPos, centralPos, attackerPos := trianglePositions()
-	bulb := devices.NewLightbulb(w.NewDevice(host.DeviceConfig{Name: "bulb", Position: bulbPos}))
-	phone := devices.NewSmartphone(w.NewDevice(host.DeviceConfig{Name: "phone", Position: centralPos}),
-		devices.SmartphoneConfig{ActivityInterval: -1})
-	atkDev := w.NewDevice(host.DeviceConfig{
-		Name: "attacker", Position: attackerPos,
-		ClockPPM: 20, ClockJitter: 500 * sim.Nanosecond,
-	})
-	monitor := ids.New(ids.Config{})
-	w.Medium.AddObserver(monitor)
-
-	sniffer := injectable.NewSniffer(atkDev.Stack)
-	sniffer.Start()
-	bulb.Peripheral.StartAdvertising()
-	phone.Connect(bulb.Peripheral.Device.Address())
-	w.RunFor(3 * sim.Second)
-	if !phone.Central.Connected() || !sniffer.Following() {
+	tw, err := buildTrialWorld(TrialConfig{Seed: seed, CentralName: "phone", IDS: true}.withDefaults(), Instrumentation{})
+	if err != nil {
+		return out, err
+	}
+	if err := tw.connect(nil); err != nil {
+		return out, err
+	}
+	if tw.linkErr() != nil {
 		return out, fmt.Errorf("experiments: baseline setup failed")
 	}
 
+	// BTLEJack needs only the sniffer; its injector stays idle.
+	w, stack, sniffer := tw.w, tw.atk.Stack, tw.atk.Sniffer
 	start := w.Now()
 	// BTLEJack jams with a power advantage; model the nRF's maximum.
-	atkDev.Stack.Radio.SetTxPower(8)
+	stack.Radio.SetTxPower(8)
 
 	jamming := true
 	// Jam the slave's response window: right after each sniffed master
@@ -70,7 +60,7 @@ func RunBTLEJackBaseline(seed uint64) (BaselineOutcome, error) {
 		out.JamBursts++
 		out.FramesTransmitted++
 		sniffer.Pause()
-		radio := atkDev.Stack.Radio
+		radio := stack.Radio
 		// The radio is tuned to the event's channel already (sniffer).
 		radio.TransmitNoise(ble.TIFS + 400*sim.Microsecond)
 		radio.OnTxDone = func() {
@@ -84,7 +74,7 @@ func RunBTLEJackBaseline(seed uint64) (BaselineOutcome, error) {
 
 	var conn *link.Conn
 	masterGone := false
-	phone.Central.OnDisconnect = func(link.DisconnectReason) {
+	tw.phone.Central.OnDisconnect = func(link.DisconnectReason) {
 		masterGone = true
 		jamming = false
 		out.TimeToEffect = w.Now().Sub(start)
@@ -95,7 +85,7 @@ func RunBTLEJackBaseline(seed uint64) (BaselineOutcome, error) {
 			return // lost sync: BTLEJack's takeover fragility
 		}
 		sniffer.Stop()
-		c, err := link.AdoptMaster(atkDev.Stack, st.Params, st.Slave, link.AdoptionState{
+		c, err := link.AdoptMaster(stack, st.Params, st.Slave, link.AdoptionState{
 			EventCount: st.EventCount,
 			SN:         st.SlaveNESN,
 			NESN:       !st.SlaveSN,
@@ -109,8 +99,8 @@ func RunBTLEJackBaseline(seed uint64) (BaselineOutcome, error) {
 	if !masterGone {
 		return out, nil
 	}
-	out.Success = conn != nil && !conn.Closed() && bulb.Peripheral.Connected()
-	out.IDSJammingAlerts = len(monitor.AlertsOf(ids.AlertJamming))
+	out.Success = conn != nil && !conn.Closed() && tw.peripheral.Connected()
+	out.IDSJammingAlerts = len(tw.monitor.AlertsOf(ids.AlertJamming))
 	return out, nil
 }
 
@@ -118,30 +108,27 @@ func RunBTLEJackBaseline(seed uint64) (BaselineOutcome, error) {
 // conditions and metrics as the BTLEJack baseline.
 func RunInjectaBLEMasterHijackComparison(seed uint64) (BaselineOutcome, error) {
 	out := BaselineOutcome{Name: "injectable-master-hijack", Detail: "single forged CONNECTION_UPDATE"}
-	s, err := newScene("lightbulb", seed, true)
+	tw, err := scenarioWorld("lightbulb", seed, true, Instrumentation{})
 	if err != nil {
 		return out, err
 	}
-	if err := s.connect(); err != nil {
-		return out, err
-	}
-	start := s.w.Now()
+	start := tw.w.Now()
 	var hijack *injectable.MasterHijack
-	err = s.attacker.HijackMaster(injectable.UpdateParams{},
+	err = tw.atk.HijackMaster(injectable.UpdateParams{},
 		func(h *injectable.MasterHijack, e error) {
 			hijack = h
-			out.TimeToEffect = s.w.Now().Sub(start)
+			out.TimeToEffect = tw.w.Now().Sub(start)
 		})
 	if err != nil {
 		return out, err
 	}
-	s.w.RunFor(60 * sim.Second)
+	tw.w.RunFor(60 * sim.Second)
 	if hijack == nil {
 		return out, nil
 	}
 	out.FramesTransmitted = hijack.Report.AttemptCount()
-	out.Success = !hijack.Conn.Closed() && s.target.Connected() && !s.phone.Central.Connected()
-	out.IDSJammingAlerts = len(s.monitor.AlertsOf(ids.AlertJamming))
+	out.Success = !hijack.Conn.Closed() && tw.peripheral.Connected() && !tw.phone.Central.Connected()
+	out.IDSJammingAlerts = len(tw.monitor.AlertsOf(ids.AlertJamming))
 	return out, nil
 }
 
@@ -152,37 +139,38 @@ func RunInjectaBLEMasterHijackComparison(seed uint64) (BaselineOutcome, error) {
 // established* connection this machinery can only wait — the paper's core
 // point about prior MITM tooling.
 func RunGATTackerBaseline(seed uint64, connectionEstablishedFirst bool) (BaselineOutcome, error) {
-	w := host.NewWorld(host.WorldConfig{Seed: seed})
 	name := "gattacker-spoof"
 	if connectionEstablishedFirst {
 		name += "-vs-established"
 	}
 	out := BaselineOutcome{Name: name, Detail: "advertisement spoofing (pre-connection only)"}
-
-	bulbPos, centralPos, attackerPos := trianglePositions()
-	bulb := devices.NewLightbulb(w.NewDevice(host.DeviceConfig{Name: "bulb", Position: bulbPos}))
-	phone := devices.NewSmartphone(w.NewDevice(host.DeviceConfig{Name: "phone", Position: centralPos}),
-		devices.SmartphoneConfig{ActivityInterval: -1})
-	holdDev := w.NewDevice(host.DeviceConfig{Name: "attacker-hold", Position: attackerPos})
-	cloneDev := w.NewDevice(host.DeviceConfig{Name: "attacker-clone", Position: attackerPos})
+	cfg := TrialConfig{Seed: seed, CentralName: "phone"}.withDefaults()
+	tw, err := buildTrialWorld(cfg, Instrumentation{})
+	if err != nil {
+		return out, err
+	}
+	// The InjectaBLE attacker stays idle; GATTacker brings two dongles.
+	w, bulb, phone := tw.w, tw.peripheral, tw.phone
+	holdDev := w.NewDevice(host.DeviceConfig{Name: "attacker-hold", Position: cfg.AttackerPos})
+	cloneDev := w.NewDevice(host.DeviceConfig{Name: "attacker-clone", Position: cfg.AttackerPos})
 
 	if connectionEstablishedFirst {
-		bulb.Peripheral.StartAdvertising()
-		phone.Connect(bulb.Peripheral.Device.Address())
+		bulb.StartAdvertising()
+		phone.Connect(bulb.Device.Address())
 		w.RunFor(2 * sim.Second)
 	}
 
 	// Dongle 1 grabs the real peripheral so it stops advertising.
 	hold := host.NewCentral(holdDev, host.CentralConfig{})
 	if !connectionEstablishedFirst {
-		bulb.Peripheral.StartAdvertising()
-		hold.Connect(bulb.Peripheral.Device.Address())
+		bulb.StartAdvertising()
+		hold.Connect(bulb.Device.Address())
 		w.RunFor(2 * sim.Second)
 		out.FramesTransmitted++ // the CONNECT_REQ
 	}
 
 	// Dongle 2 clones the bulb: same address, fast advertising.
-	cloneDev.Stack.Address = bulb.Peripheral.Device.Address()
+	cloneDev.Stack.Address = bulb.Device.Address()
 	clone := link.NewAdvertiser(cloneDev.Stack, link.AdvertiserConfig{
 		AdvData:  []byte{0x02, 0x01, 0x06},
 		Interval: 20 * sim.Millisecond,
@@ -192,7 +180,7 @@ func RunGATTackerBaseline(seed uint64, connectionEstablishedFirst bool) (Baselin
 	clone.Start()
 
 	if !connectionEstablishedFirst {
-		phone.Connect(bulb.Peripheral.Device.Address())
+		phone.Connect(bulb.Device.Address())
 	}
 	w.RunFor(5 * sim.Second)
 	out.Success = hooked

@@ -5,7 +5,6 @@ import (
 
 	"injectable/internal/campaign"
 	"injectable/internal/devices"
-	"injectable/internal/host"
 	"injectable/internal/injectable"
 	"injectable/internal/link"
 	"injectable/internal/sim"
@@ -107,64 +106,50 @@ func WideningReduction(opts Options) ([]WideningReductionOutcome, error) {
 	return out, nil
 }
 
+// scaledConfig is the widening-reduction world: the bulb's receive window
+// scaled, the central at Hop Interval 36, at most 60 injection attempts.
+func scaledConfig(seed uint64, scale float64) TrialConfig {
+	return TrialConfig{Seed: seed, WideningScale: scale, MaxAttempts: 60}.withDefaults()
+}
+
 // runScaledTrial is one injection trial with a widening-scaled slave.
 func runScaledTrial(seed uint64, scale float64) (TrialResult, error) {
-	bulbPos, centralPos, attackerPos := trianglePositions()
-	w := host.NewWorld(host.WorldConfig{Seed: seed})
-	bulb := devices.NewLightbulb(w.NewDevice(host.DeviceConfig{
-		Name: "bulb", Position: bulbPos, WideningScale: scale,
-	}))
-	phone := devices.NewSmartphone(w.NewDevice(host.DeviceConfig{
-		Name: "central", Position: centralPos,
-	}), devices.SmartphoneConfig{
-		ConnParams: link.ConnParams{Interval: 36}, ActivityInterval: -1,
-	})
-	atk := w.NewDevice(host.DeviceConfig{
-		Name: "attacker", Position: attackerPos,
-		ClockPPM: 20, ClockJitter: 500 * sim.Nanosecond,
-	})
-	a := injectable.NewAttacker(atk.Stack, injectable.InjectorConfig{MaxAttempts: 60})
-
-	a.Sniffer.Start()
-	bulb.Peripheral.StartAdvertising()
-	phone.Connect(bulb.Peripheral.Device.Address())
-	w.RunFor(3 * sim.Second)
-	if !phone.Central.Connected() || !a.Sniffer.Following() {
+	tw, err := buildTrialWorld(scaledConfig(seed, scale), Instrumentation{})
+	if err != nil {
+		return TrialResult{}, err
+	}
+	if err := tw.connect(nil); err != nil {
+		return TrialResult{}, err
+	}
+	if tw.linkErr() != nil {
 		// An over-shrunk window may break even connection setup — that is
 		// the countermeasure's cost, reported as an injection failure with
 		// a dead connection.
 		return TrialResult{}, nil
 	}
+	handle, value := tw.featureWrite()
 	var rep *injectable.Report
-	err := a.InjectWrite(bulb.ControlHandle(), devices.PowerCommand(true),
-		func(r injectable.Report) { rep = &r })
-	if err != nil {
+	if err := tw.atk.InjectWrite(handle, value, func(r injectable.Report) { rep = &r }); err != nil {
 		return TrialResult{}, err
 	}
-	w.RunFor(60 * sim.Second)
+	tw.w.RunFor(60 * sim.Second)
 	if rep == nil {
 		return TrialResult{}, fmt.Errorf("experiments: scaled trial did not settle")
 	}
-	return TrialResult{Success: rep.Success && bulb.On, Attempts: rep.AttemptCount()}, nil
+	return TrialResult{Success: rep.Success && tw.featureShown(), Attempts: rep.AttemptCount()}, nil
 }
 
 // runCleanScaled measures a clean connection's slave miss rate under the
-// scaled window.
+// scaled window. The attacker stays idle and the handshake is 2 s.
 func runCleanScaled(seed uint64, scale float64) (missed, total int, dropped bool, err error) {
-	bulbPos, centralPos, _ := trianglePositions()
-	w := host.NewWorld(host.WorldConfig{Seed: seed})
-	bulb := devices.NewLightbulb(w.NewDevice(host.DeviceConfig{
-		Name: "bulb", Position: bulbPos, WideningScale: scale,
-	}))
-	phone := devices.NewSmartphone(w.NewDevice(host.DeviceConfig{
-		Name: "central", Position: centralPos,
-	}), devices.SmartphoneConfig{
-		ConnParams: link.ConnParams{Interval: 36}, ActivityInterval: -1,
-	})
-	bulb.Peripheral.StartAdvertising()
-	phone.Connect(bulb.Peripheral.Device.Address())
-	w.RunFor(2 * sim.Second)
-	conn := bulb.Peripheral.Conn()
+	tw, err := buildTrialWorld(scaledConfig(seed, scale), Instrumentation{})
+	if err != nil {
+		return 0, 0, false, err
+	}
+	tw.peripheral.StartAdvertising()
+	tw.phone.Connect(tw.peripheral.Device.Address())
+	tw.w.RunFor(2 * sim.Second)
+	conn := tw.peripheral.Conn()
 	if conn == nil {
 		return 0, 1, true, nil
 	}
@@ -174,8 +159,8 @@ func runCleanScaled(seed uint64, scale float64) (missed, total int, dropped bool
 			missed++
 		}
 	}
-	w.RunFor(20 * sim.Second)
-	dropped = !phone.Central.Connected() || !bulb.Peripheral.Connected()
+	tw.w.RunFor(20 * sim.Second)
+	dropped = !tw.phone.Central.Connected() || !tw.peripheral.Connected()
 	return missed, total, dropped, nil
 }
 
@@ -224,7 +209,7 @@ type AppLayerCryptoOutcome struct {
 // (a MAC the attacker cannot forge) instead of enabling LL encryption.
 func RunAppLayerCrypto(seed uint64) (AppLayerCryptoOutcome, error) {
 	var out AppLayerCryptoOutcome
-	s, err := newScene("lightbulb", seed, false)
+	tw, err := scenarioWorld("lightbulb", seed, false, Instrumentation{})
 	if err != nil {
 		return out, err
 	}
@@ -234,24 +219,20 @@ func RunAppLayerCrypto(seed uint64) (AppLayerCryptoOutcome, error) {
 		return len(v) > 2 && v[len(v)-1] == 0xA7 && v[len(v)-2] == 0x55
 	}
 	executed := false
-	s.bulb.Peripheral.GATT.FindCharacteristic(devices.UUIDBulbControl).OnWrite = func(v []byte) {
+	tw.peripheral.GATT.FindCharacteristic(devices.UUIDBulbControl).OnWrite = func(v []byte) {
 		if authenticated(v) {
 			executed = true
 		}
 	}
-	if err := s.connect(); err != nil {
-		return out, err
-	}
 
 	// Scenario A against the protected payload: the write lands but the
 	// application discards it.
+	handle, value := tw.featureWrite()
 	var rep *injectable.Report
-	err = s.attacker.InjectWrite(s.bulb.ControlHandle(), devices.PowerCommand(true),
-		func(r injectable.Report) { rep = &r })
-	if err != nil {
+	if err := tw.atk.InjectWrite(handle, value, func(r injectable.Report) { rep = &r }); err != nil {
 		return out, err
 	}
-	s.w.RunFor(40 * sim.Second)
+	tw.w.RunFor(40 * sim.Second)
 	out.WriteInjectionExecuted = executed
 	if rep == nil || !rep.Success {
 		return out, fmt.Errorf("experiments: injection itself failed")
@@ -259,7 +240,7 @@ func RunAppLayerCrypto(seed uint64) (AppLayerCryptoOutcome, error) {
 
 	// Scenario B still works: LL control frames bypass GATT-layer crypto.
 	var hijack *injectable.SlaveHijack
-	err = s.attacker.HijackSlave(forgedNameServer(), func(h *injectable.SlaveHijack, e error) {
+	err = tw.atk.HijackSlave(forgedNameServer(), func(h *injectable.SlaveHijack, e error) {
 		if e == nil {
 			hijack = h
 		}
@@ -267,9 +248,9 @@ func RunAppLayerCrypto(seed uint64) (AppLayerCryptoOutcome, error) {
 	if err != nil {
 		return out, err
 	}
-	s.w.RunFor(40 * sim.Second)
-	out.SlaveHijacked = hijack != nil && !s.target.Connected()
-	out.MasterStillServed = s.phone.Central.Connected()
+	tw.w.RunFor(40 * sim.Second)
+	out.SlaveHijacked = hijack != nil && !tw.peripheral.Connected()
+	out.MasterStillServed = tw.phone.Central.Connected()
 	return out, nil
 }
 

@@ -106,7 +106,7 @@ func TestWallCostsMoreAttemptsThanOpenAir(t *testing.T) {
 
 func TestScenarioAAcrossDevices(t *testing.T) {
 	for _, target := range ScenarioTargets() {
-		out, err := RunScenarioA(target, 77, false)
+		out, err := RunScenario("scenarioA", target, 77, false, Instrumentation{})
 		if err != nil {
 			t.Fatalf("%s: %v", target, err)
 		}
@@ -117,7 +117,7 @@ func TestScenarioAAcrossDevices(t *testing.T) {
 }
 
 func TestScenarioBOnBulb(t *testing.T) {
-	out, err := RunScenarioB("lightbulb", 78, false)
+	out, err := RunScenario("scenarioB", "lightbulb", 78, false, Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestScenarioBOnBulb(t *testing.T) {
 }
 
 func TestScenarioCOnBulb(t *testing.T) {
-	out, err := RunScenarioC("lightbulb", 79, false)
+	out, err := RunScenario("scenarioC", "lightbulb", 79, false, Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestScenarioCOnBulb(t *testing.T) {
 }
 
 func TestScenarioDOnWatch(t *testing.T) {
-	out, err := RunScenarioD("smartwatch", 80, false)
+	out, err := RunScenario("scenarioD", "smartwatch", 80, false, Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,21 @@ func TestScenarioDOnWatch(t *testing.T) {
 	}
 }
 
+func TestRunScenarioRejectsUnknownNamesAndTargets(t *testing.T) {
+	for _, c := range []struct{ name, target, want string }{
+		{"scenarioZ", "lightbulb", `unknown scenario "scenarioZ"`},
+		{"scenarioA", "", `unknown target ""`},
+		{"scenarioB", "toaster", `unknown target "toaster"`},
+	} {
+		_, err := RunScenario(c.name, c.target, 1, false, Instrumentation{})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("RunScenario(%q, %q): err %v, want %q", c.name, c.target, err, c.want)
+		}
+	}
+}
+
 func TestEncryptedInjectionCountermeasure(t *testing.T) {
-	out, err := RunEncryptedInjection(81)
+	out, err := RunEncryptedInjection(81, Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +398,7 @@ func TestPayloadPDULens(t *testing.T) {
 }
 
 func TestScenarioKeystrokes(t *testing.T) {
-	out, err := RunScenarioKeystrokes(85, false)
+	out, err := RunScenario("keystrokes", "", 85, false, Instrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,25 +449,19 @@ func TestScenarioSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
-	runs := []struct {
-		name string
-		run  func(string, uint64, bool) (ScenarioOutcome, error)
-	}{
-		{"A", RunScenarioA}, {"B", RunScenarioB}, {"C", RunScenarioC}, {"D", RunScenarioD},
-	}
-	for _, sc := range runs {
+	for _, name := range []string{"scenarioA", "scenarioB", "scenarioC", "scenarioD"} {
 		for seed := uint64(7000); seed < 7005; seed++ {
-			out, err := sc.run("lightbulb", seed, false)
+			out, err := RunScenario(name, "lightbulb", seed, false, Instrumentation{})
 			if err != nil {
-				t.Fatalf("scenario %s seed %d: %v", sc.name, seed, err)
+				t.Fatalf("%s seed %d: %v", name, seed, err)
 			}
 			if !out.Success {
-				t.Errorf("scenario %s seed %d failed", sc.name, seed)
+				t.Errorf("%s seed %d failed", name, seed)
 			}
 		}
 	}
 	for seed := uint64(7100); seed < 7105; seed++ {
-		out, err := RunScenarioKeystrokes(seed, false)
+		out, err := RunScenario("keystrokes", "", seed, false, Instrumentation{})
 		if err != nil {
 			t.Fatalf("keystrokes seed %d: %v", seed, err)
 		}

@@ -6,8 +6,6 @@ import (
 	"injectable/internal/ble"
 	"injectable/internal/ble/crc"
 	"injectable/internal/ble/pdu"
-	"injectable/internal/devices"
-	"injectable/internal/host"
 	"injectable/internal/injectable"
 	"injectable/internal/link"
 	"injectable/internal/medium"
@@ -73,48 +71,42 @@ func TableIIConnectReq() *Table {
 	return t
 }
 
-// figRig is a minimal bulb+phone rig with an event trace.
-type figRig struct {
-	w     *host.World
-	bulb  *devices.Lightbulb
-	phone *devices.Smartphone
-}
-
-func newFigRig(seed uint64, interval uint16) *figRig {
-	w := host.NewWorld(host.WorldConfig{Seed: seed})
-	r := &figRig{w: w}
-	r.bulb = devices.NewLightbulb(w.NewDevice(host.DeviceConfig{Name: "bulb", Position: phy.Position{X: 0}}))
-	r.phone = devices.NewSmartphone(w.NewDevice(host.DeviceConfig{Name: "phone", Position: phy.Position{X: 2}}),
-		devices.SmartphoneConfig{ConnParams: link.ConnParams{Interval: interval}, ActivityInterval: -1})
-	return r
-}
-
-func (r *figRig) connect() error {
-	r.bulb.Peripheral.StartAdvertising()
-	r.phone.Connect(r.bulb.Peripheral.Device.Address())
-	r.w.RunFor(2 * sim.Second)
-	if !r.phone.Central.Connected() {
-		return fmt.Errorf("experiments: figure rig connection failed")
+// figRig builds the Fig. 1/2 world — the bulb and the phone at Hop
+// Interval 24, the attacker idle — and brings the link up with a 2 s
+// handshake and no sniffer. o, when non-nil, watches the medium from the
+// start.
+func figRig(seed uint64, o medium.Observer) (*trialWorld, error) {
+	tw, err := buildTrialWorld(TrialConfig{Seed: seed, Interval: 24, CentralName: "phone"}.withDefaults(), Instrumentation{})
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if o != nil {
+		tw.w.Medium.AddObserver(o)
+	}
+	tw.peripheral.StartAdvertising()
+	tw.phone.Connect(tw.peripheral.Device.Address())
+	tw.w.RunFor(2 * sim.Second)
+	if !tw.phone.Central.Connected() {
+		return nil, fmt.Errorf("experiments: figure rig connection failed")
+	}
+	return tw, nil
 }
 
 // Fig1ConnectionEvents regenerates Fig. 1: two consecutive connection
 // events with their anchor points, T_IFS response gaps and hop.
 func Fig1ConnectionEvents(seed uint64) (*Table, error) {
-	r := newFigRig(seed, 24)
 	type frameObs struct {
 		src     string
 		ch      uint8
 		at, end sim.Time
 	}
 	var frames []frameObs
-	r.w.Medium.AddObserver(obsFunc(func(o medium.TxObservation) {
+	_, err := figRig(seed, obsFunc(func(o medium.TxObservation) {
 		if o.Channel.IsData() {
 			frames = append(frames, frameObs{o.Source, uint8(o.Channel), o.StartAt, o.EndAt})
 		}
 	}))
-	if err := r.connect(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -145,20 +137,20 @@ func Fig1ConnectionEvents(seed uint64) (*Table, error) {
 // Fig2ConnectionUpdate regenerates Fig. 2: the connection update procedure
 // with its instant and transmit window.
 func Fig2ConnectionUpdate(seed uint64) (*Table, error) {
-	r := newFigRig(seed, 24)
-	if err := r.connect(); err != nil {
+	tw, err := figRig(seed, nil)
+	if err != nil {
 		return nil, err
 	}
 	var anchors []sim.Time
-	r.bulb.Peripheral.Conn().OnEvent = func(e link.EventInfo) {
+	tw.peripheral.Conn().OnEvent = func(e link.EventInfo) {
 		if !e.Missed {
 			anchors = append(anchors, e.Anchor)
 		}
 	}
-	if err := r.phone.Central.Conn().RequestConnectionUpdate(2, 4, 48, 0, 200); err != nil {
+	if err := tw.phone.Central.Conn().RequestConnectionUpdate(2, 4, 48, 0, 200); err != nil {
 		return nil, err
 	}
-	r.w.RunFor(3 * sim.Second)
+	tw.w.RunFor(3 * sim.Second)
 	if len(anchors) < 8 {
 		return nil, fmt.Errorf("experiments: too few anchors")
 	}
@@ -189,26 +181,22 @@ func Fig2ConnectionUpdate(seed uint64) (*Table, error) {
 // Fig3AttackOverview regenerates Fig. 3: the injection race inside the
 // widened receive window, with measured timings from a real attack run.
 func Fig3AttackOverview(seed uint64) (*Table, error) {
-	s, err := newScene("lightbulb", seed, false)
+	tw, err := scenarioWorld("lightbulb", seed, false, Instrumentation{})
 	if err != nil {
 		return nil, err
 	}
-	if err := s.connect(); err != nil {
-		return nil, err
-	}
 	var masterTx []sim.Time
-	s.w.Medium.AddObserver(obsFunc(func(o medium.TxObservation) {
+	tw.w.Medium.AddObserver(obsFunc(func(o medium.TxObservation) {
 		if o.Source == "phone" && o.Channel.IsData() {
 			masterTx = append(masterTx, o.StartAt)
 		}
 	}))
+	handle, value := tw.featureWrite()
 	var rep *injectable.Report
-	err = s.attacker.InjectWrite(s.bulb.ControlHandle(), devices.PowerCommand(true),
-		func(r injectable.Report) { rep = &r })
-	if err != nil {
+	if err := tw.atk.InjectWrite(handle, value, func(r injectable.Report) { rep = &r }); err != nil {
 		return nil, err
 	}
-	s.w.RunFor(60 * sim.Second)
+	tw.w.RunFor(60 * sim.Second)
 	if rep == nil || !rep.Success {
 		return nil, fmt.Errorf("experiments: fig3 injection failed")
 	}
@@ -334,7 +322,7 @@ func Fig5InjectionOutcomes(seed uint64) (*Table, error) {
 // Fig6SlaveHijack regenerates Fig. 6 as a machine-checked run of scenario
 // B with its timeline.
 func Fig6SlaveHijack(seed uint64) (*Table, error) {
-	out, err := RunScenarioB("lightbulb", seed, false)
+	out, err := RunScenario("scenarioB", "lightbulb", seed, false, Instrumentation{})
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +340,7 @@ func Fig6SlaveHijack(seed uint64) (*Table, error) {
 
 // Fig7MitM regenerates Fig. 7 as a machine-checked run of scenario D.
 func Fig7MitM(seed uint64) (*Table, error) {
-	out, err := RunScenarioD("smartwatch", seed, false)
+	out, err := RunScenario("scenarioD", "smartwatch", seed, false, Instrumentation{})
 	if err != nil {
 		return nil, err
 	}

@@ -48,8 +48,7 @@ func NewWarmTrial(cfg TrialConfig, warmSeed uint64) (*WarmTrial, error) {
 	cfg = cfg.withDefaults()
 	cfg.Seed = warmSeed
 	hub := obs.NewHub()
-	cfg.Obs = hub
-	tw, err := buildTrialWorld(cfg)
+	tw, err := buildTrialWorld(cfg, Instrumentation{Obs: hub})
 	if err != nil {
 		return nil, err
 	}
@@ -87,8 +86,7 @@ func RunTrialWarmFresh(cfg TrialConfig, warmSeed, trialSeed uint64) (TrialResult
 	cfg = cfg.withDefaults()
 	cfg.Seed = warmSeed
 	hub := obs.NewHub()
-	cfg.Obs = hub
-	tw, err := buildTrialWorld(cfg)
+	tw, err := buildTrialWorld(cfg, Instrumentation{Obs: hub})
 	if err != nil {
 		return TrialResult{}, err
 	}

@@ -8,10 +8,11 @@ import (
 	"injectable/internal/sim"
 )
 
-// Instrumentation threads observability into a scenario run: a Link Layer
-// tracer, a metrics/forensics hub and a pcap capture of the attacker's
-// sniffer. The zero value disables everything — the plain RunScenario*
-// entry points pass it.
+// Instrumentation threads observability into a scenario or trial world:
+// a Link Layer tracer, a metrics/forensics hub and a pcap capture of the
+// attacker's sniffer. The zero value disables everything. RunScenario and
+// RunEncryptedInjection take it from their callers; sweep and fork
+// trials carry only a hub.
 type Instrumentation struct {
 	// Tracer observes every stack event in the scenario's world.
 	Tracer sim.Tracer

@@ -83,7 +83,7 @@ func counterValue(s *obs.Snapshot, name string) int64 {
 // satisfy.
 func TestScenarioAForensicsGolden(t *testing.T) {
 	hub := obs.NewHub()
-	out, err := RunScenarioAWith("lightbulb", 3, false, Instrumentation{Obs: hub})
+	out, err := RunScenario("scenarioA", "lightbulb", 3, false, Instrumentation{Obs: hub})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"injectable/internal/campaign"
@@ -117,27 +118,22 @@ func SlicePoints[P any](name string, pts []P, start, count int) ([]P, error) {
 	return pts[start:end], nil
 }
 
-// scenarioRun is the common shape of the RunScenario* entry points.
-type scenarioRun func(target string, seed uint64, withIDS bool) (ScenarioOutcome, error)
+// scenarioRun is the shape of one attack scenario behind RunScenario.
+type scenarioRun func(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error)
 
-// scenarioDefs lists every servable attack scenario.
-func scenarioDefs() map[string]scenarioRun {
-	return map[string]scenarioRun{
-		"scenarioA": RunScenarioA,
-		"scenarioB": RunScenarioB,
-		"scenarioC": RunScenarioC,
-		"scenarioD": RunScenarioD,
-		"keystrokes": func(_ string, seed uint64, withIDS bool) (ScenarioOutcome, error) {
-			return RunScenarioKeystrokes(seed, withIDS)
-		},
-	}
+// scenarioDefs lists every servable attack scenario by name.
+var scenarioDefs = map[string]scenarioRun{
+	"scenarioA":  scenarioA,
+	"scenarioB":  scenarioB,
+	"scenarioC":  scenarioC,
+	"scenarioD":  scenarioD,
+	"keystrokes": scenarioKeystrokes,
 }
 
 // ScenarioNames lists the servable scenarios in sorted order.
 func ScenarioNames() []string {
-	defs := scenarioDefs()
-	names := make([]string, 0, len(defs))
-	for name := range defs {
+	names := make([]string, 0, len(scenarioDefs))
+	for name := range scenarioDefs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -149,7 +145,7 @@ func ScenarioNames() []string {
 // scenario has a fixed topology and takes no target; every other scenario
 // requires one of ScenarioTargets.
 func ScenarioSpec(name, target string, opts Options) (*campaign.Spec, error) {
-	run, ok := scenarioDefs()[name]
+	run, ok := scenarioDefs[name]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown scenario %q", name)
 	}
@@ -163,18 +159,9 @@ func ScenarioSpec(name, target string, opts Options) (*campaign.Spec, error) {
 			return nil, fmt.Errorf("experiments: scenario %q takes no target", name)
 		}
 		target = "keyfob→keyboard"
-	} else {
-		valid := false
-		for _, t := range ScenarioTargets() {
-			if t == target {
-				valid = true
-				break
-			}
-		}
-		if !valid {
-			return nil, fmt.Errorf("experiments: scenario %q: unknown target %q (want one of %v)",
-				name, target, ScenarioTargets())
-		}
+	} else if !slices.Contains(ScenarioTargets(), target) {
+		return nil, fmt.Errorf("experiments: scenario %q: unknown target %q (want one of %v)",
+			name, target, ScenarioTargets())
 	}
 	opts.applyDefaults()
 	base := opts.SeedBase
@@ -183,7 +170,7 @@ func ScenarioSpec(name, target string, opts Options) (*campaign.Spec, error) {
 		Trials: opts.TrialsPerPoint,
 		Seed:   func(i int) uint64 { return base + uint64(i) },
 		Run: func(t campaign.Trial) (any, error) {
-			return run(target, t.Seed, false)
+			return run(target, t.Seed, false, Instrumentation{})
 		},
 	}}, opts.PointStart, opts.PointCount)
 	if err != nil {

@@ -40,7 +40,7 @@ func (c *lateCancelCtx) Err() error {
 const runForSlice = 250 * sim.Millisecond
 
 func TestRunForExactSliceChecksContextOnce(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
 	ctx := &countingCtx{Context: context.Background()}
 	start := tw.w.Now()
 	if err := runFor(tw.w, runForSlice, ctx, nil); err != nil {
@@ -58,7 +58,7 @@ func TestRunForExactSliceChecksContextOnce(t *testing.T) {
 }
 
 func TestRunForSlicePlusOneChecksContextTwice(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
 	ctx := &countingCtx{Context: context.Background()}
 	d := runForSlice + 1 // one full slice plus a 1ns remainder
 	start := tw.w.Now()
@@ -74,7 +74,7 @@ func TestRunForSlicePlusOneChecksContextTwice(t *testing.T) {
 }
 
 func TestRunForCancelDuringFinalSliceStillSucceeds(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
 	// Cancellation becomes visible at the second check — after the only
 	// slice of a d == slice span has already been simulated to completion.
 	ctx := &lateCancelCtx{Context: context.Background(), cancelAt: 2}
@@ -84,7 +84,7 @@ func TestRunForCancelDuringFinalSliceStillSucceeds(t *testing.T) {
 }
 
 func TestRunForCancelBeforeSecondSliceStopsEarly(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
 	ctx := &lateCancelCtx{Context: context.Background(), cancelAt: 2}
 	start := tw.w.Now()
 	err := runFor(tw.w, runForSlice+1, ctx, nil)
@@ -97,7 +97,7 @@ func TestRunForCancelBeforeSecondSliceStopsEarly(t *testing.T) {
 }
 
 func TestRunForCanceledUpfrontAdvancesNothing(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := tw.w.Now()
@@ -110,7 +110,7 @@ func TestRunForCanceledUpfrontAdvancesNothing(t *testing.T) {
 }
 
 func TestRunForNilContextRunsWhole(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
 	start := tw.w.Now()
 	d := 3*runForSlice + 7
 	if err := runFor(tw.w, d, nil, nil); err != nil {
@@ -129,7 +129,7 @@ func doneAfter(tw *trialWorld, start sim.Time, d sim.Duration) func() bool {
 
 func TestRunForDoneStopsAtFirstBoundaryAfter(t *testing.T) {
 	for _, ctx := range []context.Context{nil, context.Background()} {
-		tw, _ := buildTrialWorld(shortCfg().withDefaults())
+		tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
 		start := tw.w.Now()
 		// done turns true 600 ms in, inside the third slice: the span ends
 		// at that slice's boundary, not at 600 ms and not at d.
@@ -143,7 +143,7 @@ func TestRunForDoneStopsAtFirstBoundaryAfter(t *testing.T) {
 }
 
 func TestRunForDoneUpfrontAdvancesNothing(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
 	start := tw.w.Now()
 	if err := runFor(tw.w, runForSlice, nil, func() bool { return true }); err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestRunForDoneUpfrontAdvancesNothing(t *testing.T) {
 }
 
 func TestRunForNeverDoneRunsWholeAndChecksContextPerSlice(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
 	ctx := &countingCtx{Context: context.Background()}
 	d := 3*runForSlice + 7
 	start := tw.w.Now()
@@ -170,7 +170,7 @@ func TestRunForNeverDoneRunsWholeAndChecksContextPerSlice(t *testing.T) {
 }
 
 func TestRunForDecidedSpanIgnoresLateCancel(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults())
+	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
 	start := tw.w.Now()
 	// Cancellation shows from the second check on, by which point the
 	// span is decided: like a completed final slice, that is a finished

@@ -15,104 +15,38 @@ import (
 	"injectable/internal/sim"
 )
 
-// scene bundles one attack-scenario world: a target device, a smartphone
-// central, an attacker and an optional IDS.
-type scene struct {
-	w        *host.World
-	attacker *injectable.Attacker
-	phone    *devices.Smartphone
-	monitor  *ids.Monitor
-
-	bulb  *devices.Lightbulb
-	fob   *devices.Keyfob
-	watch *devices.Smartwatch
-
-	target     *host.Peripheral
-	targetName string
-}
-
-// newScene builds the triangle topology around the named target device
-// ("lightbulb", "keyfob" or "smartwatch").
-func newScene(target string, seed uint64, withIDS bool) (*scene, error) {
-	return newSceneWith(target, seed, withIDS, Instrumentation{})
-}
-
-// newSceneWith is newScene with observability attached: the tracer and
-// obs hub flow into every layer of the world, and the pcap writer taps
-// the attacker's sniffer.
-func newSceneWith(target string, seed uint64, withIDS bool, inst Instrumentation) (*scene, error) {
-	w := host.NewWorld(host.WorldConfig{Seed: seed, Tracer: inst.Tracer, Obs: inst.Obs})
-	s := &scene{w: w, targetName: target}
-	bulbPos, centralPos, attackerPos := trianglePositions()
-
-	dev := w.NewDevice(host.DeviceConfig{Name: target, Position: bulbPos})
-	switch target {
-	case "lightbulb":
-		s.bulb = devices.NewLightbulb(dev)
-		s.target = s.bulb.Peripheral
-	case "keyfob":
-		s.fob = devices.NewKeyfob(dev)
-		s.target = s.fob.Peripheral
-	case "smartwatch":
-		s.watch = devices.NewSmartwatch(dev)
-		s.target = s.watch.Peripheral
-	default:
+// scenarioWorld builds the world the §VI scenarios attack: the Fig. 8
+// triangle around target, the victim named after its type and the
+// central named "phone", and brings the link up with connect's one-shot
+// handshake. There are no retries: a failed handshake fails the run.
+func scenarioWorld(target string, seed uint64, withIDS bool, inst Instrumentation) (*trialWorld, error) {
+	if target == "" {
+		// buildTrialWorld reads an empty Target as the lightbulb.
 		return nil, fmt.Errorf("experiments: unknown target %q", target)
 	}
-	s.phone = devices.NewSmartphone(w.NewDevice(host.DeviceConfig{
-		Name: "phone", Position: centralPos,
-	}), devices.SmartphoneConfig{ActivityInterval: -1})
-	atk := w.NewDevice(host.DeviceConfig{
-		Name: "attacker", Position: attackerPos,
-		ClockPPM: 20, ClockJitter: 500 * sim.Nanosecond,
-	})
-	s.attacker = injectable.NewAttacker(atk.Stack, injectable.InjectorConfig{})
-	if inst.Pcap != nil {
-		capturePcap(s.attacker.Sniffer, inst.Pcap)
+	cfg := TrialConfig{Seed: seed, Target: target, TargetName: target, CentralName: "phone", IDS: withIDS}
+	tw, err := buildTrialWorld(cfg.withDefaults(), inst)
+	if err != nil {
+		return nil, err
 	}
-	if withIDS {
-		s.monitor = ids.New(ids.Config{})
-		w.Medium.AddObserver(s.monitor)
+	if err := tw.connect(nil); err != nil {
+		return nil, err
 	}
-	return s, nil
+	if err := tw.linkErr(); err != nil {
+		return nil, err
+	}
+	return tw, nil
 }
 
-// connect brings the connection up with the attacker synchronised.
-func (s *scene) connect() error {
-	s.attacker.Sniffer.Start()
-	s.target.StartAdvertising()
-	s.phone.Connect(s.target.Device.Address())
-	s.w.RunFor(3 * sim.Second)
-	if !s.phone.Central.Connected() {
-		return fmt.Errorf("experiments: connection failed")
-	}
-	if !s.attacker.Sniffer.Following() {
-		return fmt.Errorf("experiments: sniffer failed to sync")
-	}
-	return nil
-}
-
-// featureTrigger returns the scenario-A feature write for the scene's
-// target, plus a ground-truth check.
-func (s *scene) featureTrigger() (handle uint16, value []byte, verify func() bool, desc string) {
-	switch s.targetName {
-	case "lightbulb":
-		return s.bulb.ControlHandle(), devices.PowerCommand(true),
-			func() bool { return s.bulb.On }, "turn bulb on"
-	case "keyfob":
-		return s.fob.AlertHandle(), devices.RingCommand(),
-			func() bool { return s.fob.Ringing }, "make keyfob ring"
-	default:
-		return s.watch.SMSHandle(), []byte("Forged SMS"),
-			func() bool {
-				for _, m := range s.watch.Messages {
-					if m == "Forged SMS" {
-						return true
-					}
-				}
-				return false
-			}, "forge SMS to watch"
-	}
+// scenarioFeatures describes each target's scenario-A feature: what the
+// injected write does, and the characteristic it lands on.
+var scenarioFeatures = map[string]struct {
+	desc string
+	char att.UUID
+}{
+	"lightbulb":  {"turn bulb on", devices.UUIDBulbControl},
+	"keyfob":     {"make keyfob ring", devices.UUIDAlertLevel},
+	"smartwatch": {"forge SMS to watch", devices.UUIDWatchSMS},
 }
 
 // ScenarioOutcome reports one scenario run against one device.
@@ -125,13 +59,13 @@ type ScenarioOutcome struct {
 	IDSAlerts map[ids.AlertKind]int
 }
 
-// idsCounts snapshots the monitor's alert counts.
-func (s *scene) idsCounts() map[ids.AlertKind]int {
-	if s.monitor == nil {
+// alertCounts tallies a monitor's alerts by kind (nil without a monitor).
+func alertCounts(m *ids.Monitor) map[ids.AlertKind]int {
+	if m == nil {
 		return nil
 	}
 	out := make(map[ids.AlertKind]int)
-	for _, a := range s.monitor.Alerts() {
+	for _, a := range m.Alerts() {
 		out[a.Kind]++
 	}
 	return out
@@ -152,57 +86,53 @@ func forgedNameServer() *gatt.Server {
 // ScenarioTargets lists the paper's three commercial devices.
 func ScenarioTargets() []string { return []string{"lightbulb", "keyfob", "smartwatch"} }
 
-// RunScenarioA injects a feature-trigger write into the target (§VI-A).
-func RunScenarioA(target string, seed uint64, withIDS bool) (ScenarioOutcome, error) {
-	return RunScenarioAWith(target, seed, withIDS, Instrumentation{})
+// RunScenario runs the attack scenario registered under name (see
+// ScenarioNames) at seed: scenarioA–D against target, one of
+// ScenarioTargets, or keystrokes, which ignores target. withIDS attaches
+// the §VIII monitor and reports its alerts; inst threads observability
+// into the world, and its zero value disables it.
+func RunScenario(name, target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
+	run, ok := scenarioDefs[name]
+	if !ok {
+		return ScenarioOutcome{}, fmt.Errorf("experiments: unknown scenario %q", name)
+	}
+	return run(target, seed, withIDS, inst)
 }
 
-// RunScenarioAWith is RunScenarioA with observability attached.
-func RunScenarioAWith(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
-	s, err := newSceneWith(target, seed, withIDS, inst)
+// scenarioA injects a feature-trigger write into the target (§VI-A).
+func scenarioA(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
+	tw, err := scenarioWorld(target, seed, withIDS, inst)
 	if err != nil {
 		return ScenarioOutcome{}, err
 	}
-	if err := s.connect(); err != nil {
-		return ScenarioOutcome{}, err
-	}
-	handle, value, verify, desc := s.featureTrigger()
+	handle, value := tw.featureWrite()
 	var rep *injectable.Report
-	if err := s.attacker.InjectWrite(handle, value, func(r injectable.Report) { rep = &r }); err != nil {
+	if err := tw.atk.InjectWrite(handle, value, func(r injectable.Report) { rep = &r }); err != nil {
 		return ScenarioOutcome{}, err
 	}
-	s.w.RunFor(60 * sim.Second)
-	out := ScenarioOutcome{Target: target, Detail: desc, IDSAlerts: s.idsCounts()}
+	tw.w.RunFor(60 * sim.Second)
+	out := ScenarioOutcome{Target: target, Detail: scenarioFeatures[target].desc, IDSAlerts: alertCounts(tw.monitor)}
 	if rep != nil {
 		out.Attempts = rep.AttemptCount()
-		out.Success = rep.Success && verify()
+		out.Success = rep.Success && tw.featureShown()
 	}
 	return out, nil
 }
 
-// RunScenarioB expels the slave and serves a "Hacked" device name (§VI-B).
-func RunScenarioB(target string, seed uint64, withIDS bool) (ScenarioOutcome, error) {
-	return RunScenarioBWith(target, seed, withIDS, Instrumentation{})
-}
-
-// RunScenarioBWith is RunScenarioB with observability attached.
-func RunScenarioBWith(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
-	s, err := newSceneWith(target, seed, withIDS, inst)
+// scenarioB expels the slave and serves a "Hacked" device name (§VI-B).
+func scenarioB(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
+	tw, err := scenarioWorld(target, seed, withIDS, inst)
 	if err != nil {
 		return ScenarioOutcome{}, err
 	}
-	if err := s.connect(); err != nil {
-		return ScenarioOutcome{}, err
-	}
-	srv := forgedNameServer()
 	var hijack *injectable.SlaveHijack
 	var herr error
-	err = s.attacker.HijackSlave(srv, func(h *injectable.SlaveHijack, e error) { hijack, herr = h, e })
+	err = tw.atk.HijackSlave(forgedNameServer(), func(h *injectable.SlaveHijack, e error) { hijack, herr = h, e })
 	if err != nil {
 		return ScenarioOutcome{}, err
 	}
-	s.w.RunFor(40 * sim.Second)
-	out := ScenarioOutcome{Target: target, Detail: "slave hijack + forged name", IDSAlerts: s.idsCounts()}
+	tw.w.RunFor(40 * sim.Second)
+	out := ScenarioOutcome{Target: target, Detail: "slave hijack + forged name", IDSAlerts: alertCounts(tw.monitor)}
 	if herr != nil || hijack == nil {
 		return out, nil
 	}
@@ -210,40 +140,32 @@ func RunScenarioBWith(target string, seed uint64, withIDS bool, inst Instrumenta
 
 	// Verify: legitimate slave expelled, master alive, forged name served.
 	var name []byte
-	s.phone.GATT().Read(3, func(v []byte, err error) {
+	tw.phone.GATT().Read(3, func(v []byte, err error) {
 		if err == nil {
 			name = v
 		}
 	})
-	s.w.RunFor(5 * sim.Second)
-	out.Success = !s.target.Connected() && s.phone.Central.Connected() && string(name) == "Hacked"
+	tw.w.RunFor(5 * sim.Second)
+	out.Success = !tw.peripheral.Connected() && tw.phone.Central.Connected() && string(name) == "Hacked"
 	return out, nil
 }
 
-// RunScenarioC splits the slave off with a forged CONNECTION_UPDATE and
+// scenarioC splits the slave off with a forged CONNECTION_UPDATE and
 // hijacks the master role (§VI-C).
-func RunScenarioC(target string, seed uint64, withIDS bool) (ScenarioOutcome, error) {
-	return RunScenarioCWith(target, seed, withIDS, Instrumentation{})
-}
-
-// RunScenarioCWith is RunScenarioC with observability attached.
-func RunScenarioCWith(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
-	s, err := newSceneWith(target, seed, withIDS, inst)
+func scenarioC(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
+	tw, err := scenarioWorld(target, seed, withIDS, inst)
 	if err != nil {
-		return ScenarioOutcome{}, err
-	}
-	if err := s.connect(); err != nil {
 		return ScenarioOutcome{}, err
 	}
 	var hijack *injectable.MasterHijack
 	var herr error
-	err = s.attacker.HijackMaster(injectable.UpdateParams{},
+	err = tw.atk.HijackMaster(injectable.UpdateParams{},
 		func(h *injectable.MasterHijack, e error) { hijack, herr = h, e })
 	if err != nil {
 		return ScenarioOutcome{}, err
 	}
-	s.w.RunFor(60 * sim.Second)
-	out := ScenarioOutcome{Target: target, Detail: "master hijack via forged update", IDSAlerts: s.idsCounts()}
+	tw.w.RunFor(60 * sim.Second)
+	out := ScenarioOutcome{Target: target, Detail: "master hijack via forged update", IDSAlerts: alertCounts(tw.monitor)}
 	if herr != nil || hijack == nil {
 		return out, nil
 	}
@@ -251,28 +173,19 @@ func RunScenarioCWith(target string, seed uint64, withIDS bool, inst Instrumenta
 
 	// Verify: attacker owns the slave, legitimate master timed out, and a
 	// scenario-A feature can be triggered through the hijacked role.
-	handle, value, verify, _ := s.featureTrigger()
+	handle, value := tw.featureWrite()
 	hijack.Client.Write(handle, value, func(error) {})
-	s.w.RunFor(10 * sim.Second)
-	out.Success = !hijack.Conn.Closed() && s.target.Connected() &&
-		!s.phone.Central.Connected() && verify()
+	tw.w.RunFor(10 * sim.Second)
+	out.Success = !hijack.Conn.Closed() && tw.peripheral.Connected() &&
+		!tw.phone.Central.Connected() && tw.featureShown()
 	return out, nil
 }
 
-// RunScenarioD establishes the MITM and rewrites traffic on the fly
-// (§VI-D): for the smartwatch an SMS is mutated; for the others a write
-// payload is flipped.
-func RunScenarioD(target string, seed uint64, withIDS bool) (ScenarioOutcome, error) {
-	return RunScenarioDWith(target, seed, withIDS, Instrumentation{})
-}
-
-// RunScenarioDWith is RunScenarioD with observability attached.
-func RunScenarioDWith(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
-	s, err := newSceneWith(target, seed, withIDS, inst)
+// scenarioD establishes the MITM and rewrites traffic on the fly
+// (§VI-D): a write carrying a 0xAA marker must reach the target as 0xBB.
+func scenarioD(target string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
+	tw, err := scenarioWorld(target, seed, withIDS, inst)
 	if err != nil {
-		return ScenarioOutcome{}, err
-	}
-	if err := s.connect(); err != nil {
 		return ScenarioOutcome{}, err
 	}
 	mutated := false
@@ -288,149 +201,40 @@ func RunScenarioDWith(target string, seed uint64, withIDS bool, inst Instrumenta
 	}
 	var session *injectable.MITM
 	var merr error
-	err = s.attacker.ManInTheMiddle(injectable.UpdateParams{},
+	err = tw.atk.ManInTheMiddle(injectable.UpdateParams{},
 		injectable.MITMConfig{OnMasterToSlave: mutate},
 		func(m *injectable.MITM, e error) { session, merr = m, e })
 	if err != nil {
 		return ScenarioOutcome{}, err
 	}
-	s.w.RunFor(60 * sim.Second)
-	out := ScenarioOutcome{Target: target, Detail: "MITM with on-the-fly mutation", IDSAlerts: s.idsCounts()}
+	tw.w.RunFor(60 * sim.Second)
+	out := ScenarioOutcome{Target: target, Detail: "MITM with on-the-fly mutation", IDSAlerts: alertCounts(tw.monitor)}
 	if merr != nil || session == nil || session.Closed() {
 		return out, nil
 	}
 	out.Attempts = session.Report.AttemptCount()
 
 	// Send traffic carrying the 0xAA marker through the MITM.
-	handle, _, _, _ := s.featureTrigger()
+	handle, _ := tw.featureWrite()
 	var gotAtSlave []byte
-	switch s.targetName {
-	case "lightbulb":
-		s.bulb.Peripheral.GATT.FindCharacteristic(devices.UUIDBulbControl).OnWrite = func(v []byte) {
-			gotAtSlave = append([]byte(nil), v...)
-		}
-	case "keyfob":
-		s.fob.Peripheral.GATT.FindCharacteristic(devices.UUIDAlertLevel).OnWrite = func(v []byte) {
-			gotAtSlave = append([]byte(nil), v...)
-		}
-	default:
-		s.watch.Peripheral.GATT.FindCharacteristic(devices.UUIDWatchSMS).OnWrite = func(v []byte) {
-			gotAtSlave = append([]byte(nil), v...)
-		}
+	tw.peripheral.GATT.FindCharacteristic(scenarioFeatures[target].char).OnWrite = func(v []byte) {
+		gotAtSlave = append([]byte(nil), v...)
 	}
-	s.phone.GATT().WriteCommand(handle, []byte{0xAA, 0xAA})
-	s.w.RunFor(10 * sim.Second)
+	tw.phone.GATT().WriteCommand(handle, []byte{0xAA, 0xAA})
+	tw.w.RunFor(10 * sim.Second)
 
 	rewritten := len(gotAtSlave) == 2 && gotAtSlave[0] == 0xBB && gotAtSlave[1] == 0xBB
 	out.Success = mutated && rewritten &&
-		s.phone.Central.Connected() && s.target.Connected()
+		tw.phone.Central.Connected() && tw.peripheral.Connected()
 	return out, nil
 }
 
-// EncryptionOutcome reports the countermeasure experiment.
-type EncryptionOutcome struct {
-	// Paired reports pairing + encryption succeeded before the attack.
-	Paired bool
-	// FeatureTriggered: the injected write executed (must be false).
-	FeatureTriggered bool
-	// ConnectionDropped: the MIC failure tore the link down (the residual
-	// DoS impact).
-	ConnectionDropped bool
-}
-
-// RunEncryptedInjection pairs the devices, encrypts the link, then runs an
-// injection: the paper's claim is confidentiality/integrity hold and only
-// availability is lost (§IV).
-func RunEncryptedInjection(seed uint64) (EncryptionOutcome, error) {
-	return RunEncryptedInjectionWith(seed, Instrumentation{})
-}
-
-// RunEncryptedInjectionWith is RunEncryptedInjection with observability.
-func RunEncryptedInjectionWith(seed uint64, inst Instrumentation) (EncryptionOutcome, error) {
-	s, err := newSceneWith("lightbulb", seed, false, inst)
-	if err != nil {
-		return EncryptionOutcome{}, err
-	}
-	if err := s.connect(); err != nil {
-		return EncryptionOutcome{}, err
-	}
-	var out EncryptionOutcome
-	if err := s.phone.Central.Pair(); err != nil {
-		return out, err
-	}
-	s.w.RunFor(5 * sim.Second)
-	out.Paired = s.phone.Central.Connected() && s.phone.Central.Conn().Encrypted()
-	if !out.Paired {
-		return out, nil
-	}
-	dropped := false
-	s.target.OnDisconnect = func(r link.DisconnectReason) {
-		if r.Code == pdu.ErrCodeMICFailure {
-			dropped = true
-		}
-	}
-	var rep *injectable.Report
-	err = s.attacker.InjectWrite(s.bulb.ControlHandle(), devices.PowerCommand(true),
-		func(r injectable.Report) { rep = &r })
-	if err != nil {
-		return out, err
-	}
-	s.w.RunFor(60 * sim.Second)
-	out.FeatureTriggered = s.bulb.On
-	out.ConnectionDropped = dropped
-	_ = rep
-	return out, nil
-}
-
-// ScenarioTable renders scenario outcomes across targets.
-func ScenarioTable(id, title string, outcomes []ScenarioOutcome) *Table {
-	t := &Table{
-		Title:  fmt.Sprintf("%s — %s", id, title),
-		Header: []string{"target", "success", "injection attempts", "detail"},
-	}
-	for _, o := range outcomes {
-		t.Rows = append(t.Rows, []string{
-			o.Target, fmt.Sprintf("%t", o.Success), fmt.Sprintf("%d", o.Attempts), o.Detail,
-		})
-	}
-	return t
-}
-
-// Fig8Topology renders the experimental setup of Fig. 8 as text.
-func Fig8Topology() *Table {
-	bulb, central, attacker := trianglePositions()
-	t := &Table{
-		Title:  "fig8 — experimental setup",
-		Header: []string{"device", "position", "role"},
-		Rows: [][]string{
-			{"peripheral (bulb)", bulb.String(), "slave / injection target"},
-			{"central (phone)", central.String(), "master, 2 m from peripheral"},
-			{"attacker", attacker.String(), "equilateral triangle, 2 m edges"},
-		},
-		Notes: []string{
-			"experiment 3 moves the attacker to (-d, 0) for d in {1,2,4,6,8,10} m (positions A–F)",
-			"the wall variant adds a 7 dB wall at x = -0.5 m",
-		},
-	}
-	for _, d := range []float64{1, 2, 4, 6, 8, 10} {
-		_, _, atk := distancePositions(d)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("attacker pos %c", 'A'+int(map[float64]int{1: 0, 2: 1, 4: 2, 6: 3, 8: 4, 10: 5}[d])),
-			atk.String(), fmt.Sprintf("%g m from peripheral", d),
-		})
-	}
-	return t
-}
-
-// RunScenarioKeystrokes realises the paper's §IX future-work scenario:
-// hijack the slave, present a HID keyboard via Service Changed, and inject
-// keystrokes into the connected host.
-func RunScenarioKeystrokes(seed uint64, withIDS bool) (ScenarioOutcome, error) {
-	return RunScenarioKeystrokesWith(seed, withIDS, Instrumentation{})
-}
-
-// RunScenarioKeystrokesWith is RunScenarioKeystrokes with observability.
-func RunScenarioKeystrokesWith(seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
+// scenarioKeystrokes realises the paper's §IX future-work scenario:
+// hijack the slave, present a HID keyboard via Service Changed, and
+// inject keystrokes into the connected host. Its central is a HID-host
+// Computer rather than a Smartphone, so it builds its own world, always
+// around a keyfob; target is ignored.
+func scenarioKeystrokes(_ string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
 	w := host.NewWorld(host.WorldConfig{Seed: seed, Tracer: inst.Tracer, Obs: inst.Obs})
 	bulbPos, centralPos, attackerPos := trianglePositions()
 	fob := devices.NewKeyfob(w.NewDevice(host.DeviceConfig{Name: "keyfob", Position: bulbPos}))
@@ -475,14 +279,90 @@ func RunScenarioKeystrokesWith(seed uint64, withIDS bool, inst Instrumentation) 
 	}
 	w.RunFor(20 * sim.Second)
 	out.Success = computer.HIDAttached && computer.Typed.Len() > 0
-	if monitor != nil {
-		alerts := make(map[ids.AlertKind]int)
-		for _, a := range monitor.Alerts() {
-			alerts[a.Kind]++
-		}
-		out.IDSAlerts = alerts
-	}
+	out.IDSAlerts = alertCounts(monitor)
 	return out, nil
+}
+
+// EncryptionOutcome reports the countermeasure experiment.
+type EncryptionOutcome struct {
+	// Paired reports pairing + encryption succeeded before the attack.
+	Paired bool
+	// FeatureTriggered: the injected write executed (must be false).
+	FeatureTriggered bool
+	// ConnectionDropped: the MIC failure tore the link down (the residual
+	// DoS impact).
+	ConnectionDropped bool
+}
+
+// RunEncryptedInjection pairs the devices, encrypts the link, then runs an
+// injection: the paper's claim is confidentiality/integrity hold and only
+// availability is lost (§IV). inst threads observability into the world.
+func RunEncryptedInjection(seed uint64, inst Instrumentation) (EncryptionOutcome, error) {
+	tw, err := scenarioWorld("lightbulb", seed, false, inst)
+	if err != nil {
+		return EncryptionOutcome{}, err
+	}
+	var out EncryptionOutcome
+	if err := tw.phone.Central.Pair(); err != nil {
+		return out, err
+	}
+	tw.w.RunFor(5 * sim.Second)
+	out.Paired = tw.phone.Central.Connected() && tw.phone.Central.Conn().Encrypted()
+	if !out.Paired {
+		return out, nil
+	}
+	tw.peripheral.OnDisconnect = func(r link.DisconnectReason) {
+		if r.Code == pdu.ErrCodeMICFailure {
+			out.ConnectionDropped = true
+		}
+	}
+	handle, value := tw.featureWrite()
+	if err := tw.atk.InjectWrite(handle, value, func(injectable.Report) {}); err != nil {
+		return out, err
+	}
+	tw.w.RunFor(60 * sim.Second)
+	out.FeatureTriggered = tw.featureShown()
+	return out, nil
+}
+
+// ScenarioTable renders scenario outcomes across targets.
+func ScenarioTable(title string, outcomes []ScenarioOutcome) *Table {
+	t := &Table{
+		Title:  title,
+		Header: []string{"target", "success", "injection attempts", "detail"},
+	}
+	for _, o := range outcomes {
+		t.Rows = append(t.Rows, []string{
+			o.Target, fmt.Sprintf("%t", o.Success), fmt.Sprintf("%d", o.Attempts), o.Detail,
+		})
+	}
+	return t
+}
+
+// Fig8Topology renders the experimental setup of Fig. 8 as text.
+func Fig8Topology() *Table {
+	bulb, central, attacker := trianglePositions()
+	t := &Table{
+		Title:  "fig8 — experimental setup",
+		Header: []string{"device", "position", "role"},
+		Rows: [][]string{
+			{"peripheral (bulb)", bulb.String(), "slave / injection target"},
+			{"central (phone)", central.String(), "master, 2 m from peripheral"},
+			{"attacker", attacker.String(), "equilateral triangle, 2 m edges"},
+		},
+		Notes: []string{
+			"experiment 3 moves the attacker to (-d, 0) for d in {1,2,4,6,8,10} m (positions A–F)",
+			"the wall variant adds a 7 dB wall at x = -0.5 m",
+		},
+	}
+	for _, d := range []float64{1, 2, 4, 6, 8, 10} {
+		_, _, atk := distancePositions(d)
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("attacker pos %c", 'A'+int(map[float64]int{1: 0, 2: 1, 4: 2, 6: 3, 8: 4, 10: 5}[d])),
+			atk.String(), fmt.Sprintf("%g m from peripheral", d),
+		})
+	}
+	return t
 }
 
 // IDSValidation measures the monitor's detection and false-positive rates
@@ -502,22 +382,19 @@ func IDSValidation(opts Options) (*Table, error) {
 			Label: "clean", Trials: n,
 			Seed: func(i int) uint64 { return base + uint64(i) },
 			Run: func(t campaign.Trial) (any, error) {
-				s, err := newScene("lightbulb", t.Seed, true)
+				tw, err := scenarioWorld("lightbulb", t.Seed, true, Instrumentation{})
 				if err != nil {
 					return nil, err
 				}
-				if err := s.connect(); err != nil {
-					return nil, err
-				}
-				s.w.RunFor(20 * sim.Second) // clean traffic only
-				return injectionAlerts(s.idsCounts()) > 0, nil
+				tw.w.RunFor(20 * sim.Second) // clean traffic only
+				return injectionAlerts(alertCounts(tw.monitor)) > 0, nil
 			},
 		},
 		{
 			Label: "attack", Trials: n,
 			Seed: func(i int) uint64 { return base + 1000 + uint64(i) },
 			Run: func(t campaign.Trial) (any, error) {
-				out, err := RunScenarioA("lightbulb", t.Seed, true)
+				out, err := RunScenario("scenarioA", "lightbulb", t.Seed, true, Instrumentation{})
 				if err != nil {
 					return nil, err
 				}

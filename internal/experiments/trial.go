@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 
 	"injectable/internal/att"
 	"injectable/internal/ble"
@@ -277,21 +279,26 @@ type trialWorld struct {
 }
 
 // buildTrialWorld constructs the world, devices and attacker for cfg
-// (defaults already applied). The actor wrappers are registered as
-// snapshot roots so a snapshot taken from this world — and RekeyStreams —
-// reaches every piece of their state. Construction order is fixed
-// (victim, central, attacker, then monitor and extras) and the new-world
-// knobs execute nothing when zero, so historical configurations draw the
-// same RNG streams they always did.
-func buildTrialWorld(cfg TrialConfig) (*trialWorld, error) {
+// (defaults already applied), with inst's tracer and hub in every layer
+// and its pcap writer on the attacker's sniffer; sweep and fork trials
+// pass only a hub. Every Fig. 8 world of the package is built here except
+// the keystrokes world. The actor wrappers are registered as snapshot
+// roots so a snapshot taken from this world — and RekeyStreams — reaches
+// every piece of their state. Construction order is fixed (victim,
+// central, attacker, then monitor and extras) and the new-world knobs
+// execute nothing when zero, so historical configurations draw the same
+// RNG streams they always did. Device streams are keyed by name, so
+// TargetName and CentralName are part of a world's identity.
+func buildTrialWorld(cfg TrialConfig, inst Instrumentation) (*trialWorld, error) {
 	w := host.NewWorld(host.WorldConfig{
 		Seed: cfg.Seed,
 		Medium: medium.Config{
 			PathLoss: phy.LogDistance{Walls: cfg.Walls},
 			Capture:  cfg.Capture,
 		},
-		Obs:   cfg.Obs,
-		Arena: cfg.Arena,
+		Tracer: inst.Tracer,
+		Obs:    inst.Obs,
+		Arena:  cfg.Arena,
 	})
 	tw := &trialWorld{w: w}
 	targetName := cfg.TargetName
@@ -357,6 +364,9 @@ func buildTrialWorld(cfg TrialConfig) (*trialWorld, error) {
 		ClockPPM: 20, ClockJitter: 500 * sim.Nanosecond,
 	})
 	tw.atk = injectable.NewAttacker(attacker.Stack, cfg.Injector)
+	if inst.Pcap != nil {
+		capturePcap(tw.atk.Sniffer, inst.Pcap)
+	}
 	w.AddSnapshotRoot(victimRoot, tw.phone, tw.atk)
 	if cfg.IDS {
 		tw.monitor = ids.New(ids.Config{})
@@ -392,17 +402,37 @@ func buildTrialWorld(cfg TrialConfig) (*trialWorld, error) {
 	return tw, nil
 }
 
-// warm advances through connection establishment and attacker
-// synchronisation — everything that happens before the injection run and
-// is identical across the trials of one configuration.
-func (tw *trialWorld) warm(cfg TrialConfig) error {
+// connect is the one-shot handshake: the sniffer listens, the victim and
+// any bystanders advertise, the central initiates, and 3 s of virtual
+// time pass. Whether the link formed and the sniffer caught it is the
+// caller's to check (linkErr).
+func (tw *trialWorld) connect(ctx context.Context) error {
 	tw.atk.Sniffer.Start()
 	tw.peripheral.StartAdvertising()
 	for _, p := range tw.extras {
 		p.StartAdvertising()
 	}
 	tw.phone.Connect(tw.peripheral.Device.Address())
-	if err := runFor(tw.w, 3*sim.Second, cfg.Ctx, nil); err != nil {
+	return runFor(tw.w, 3*sim.Second, ctx, nil)
+}
+
+// linkErr reports why a handshake left the world unfit to attack: the
+// central holds no connection, or the sniffer is not following it.
+func (tw *trialWorld) linkErr() error {
+	if !tw.phone.Central.Connected() {
+		return errors.New("experiments: connection failed")
+	}
+	if !tw.atk.Sniffer.Following() {
+		return errors.New("experiments: sniffer failed to sync")
+	}
+	return nil
+}
+
+// warm advances through connection establishment and attacker
+// synchronisation — everything that happens before the injection run and
+// is identical across the trials of one configuration.
+func (tw *trialWorld) warm(cfg TrialConfig) error {
+	if err := tw.connect(cfg.Ctx); err != nil {
 		return err
 	}
 	// In a crowded cell, bystander advertisements can collide with the
@@ -410,10 +440,10 @@ func (tw *trialWorld) warm(cfg TrialConfig) error {
 	// the sniffer (it misses the handshake it must observe). The only
 	// recovery is a fresh handshake: tear the link down if it half-formed,
 	// let the victim re-advertise, and initiate again. Worlds where the
-	// fast path above succeeds never enter this loop, so their event
+	// first handshake succeeds never enter this loop, so their event
 	// streams are untouched.
 	for attempt := 0; attempt < 4; attempt++ {
-		if tw.phone.Central.Connected() && tw.atk.Sniffer.Following() {
+		if tw.linkErr() == nil {
 			return nil
 		}
 		if c := tw.phone.Central.Conn(); c != nil && !c.Closed() {
@@ -430,11 +460,8 @@ func (tw *trialWorld) warm(cfg TrialConfig) error {
 			return err
 		}
 	}
-	if !tw.phone.Central.Connected() {
-		return fmt.Errorf("experiments: connection failed (seed %d)", cfg.Seed)
-	}
-	if !tw.atk.Sniffer.Following() {
-		return fmt.Errorf("experiments: sniffer failed to sync (seed %d)", cfg.Seed)
+	if err := tw.linkErr(); err != nil {
+		return fmt.Errorf("%v (seed %d)", err, cfg.Seed)
 	}
 	return nil
 }
@@ -470,6 +497,20 @@ func (tw *trialWorld) featureWrite() (uint16, []byte) {
 		return tw.watch.SMSHandle(), []byte("Forged SMS")
 	default:
 		return tw.bulb.ControlHandle(), devices.PowerCommand(true)
+	}
+}
+
+// featureShown reports whether the victim visibly executed its
+// feature-trigger write: the bulb is on, the keyfob rings, or the watch
+// shows the forged SMS.
+func (tw *trialWorld) featureShown() bool {
+	switch {
+	case tw.fob != nil:
+		return tw.fob.Ringing
+	case tw.watch != nil:
+		return slices.Contains(tw.watch.Messages, "Forged SMS")
+	default:
+		return tw.bulb.On
 	}
 }
 
@@ -743,7 +784,7 @@ func hijackServer() *gatt.Server {
 // the attacker and performs one attack run.
 func RunTrial(cfg TrialConfig) (TrialResult, error) {
 	cfg = cfg.withDefaults()
-	tw, err := buildTrialWorld(cfg)
+	tw, err := buildTrialWorld(cfg, Instrumentation{Obs: cfg.Obs})
 	if err != nil {
 		return TrialResult{}, err
 	}
