@@ -3,7 +3,9 @@
 //
 // Usage:
 //
-//	injectable -scenario A|B|C|D|keyboard|encrypted -target lightbulb|keyfob|smartwatch [-seed N] [-ids]
+//	injectable -scenario A|B|C|D -target lightbulb|keyfob|smartwatch [-seed N] [-ids]
+//	injectable -scenario keyboard [-seed N] [-ids]
+//	injectable -scenario encrypted [-seed N]
 //	           [-trace] [-pcap out.pcap] [-metrics out.jsonl] [-chrome-trace out.trace.json]
 //	           [-forensics] [-pprof localhost:6060]
 //
@@ -26,6 +28,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"strings"
 
 	"injectable/internal/experiments"
 	"injectable/internal/ids"
@@ -57,6 +60,20 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	forensics := fs.Bool("forensics", false, "print the injection forensics summary")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address during the run")
 	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+	// A flag the chosen scenario would ignore is an error, not a silent
+	// no-op: the keystrokes world is always a keyfob, and the encrypted
+	// run has no target choice and no IDS.
+	ignored := map[string][]string{"keyboard": {"target"}, "encrypted": {"target", "ids"}}[*scenario]
+	var unused []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(ignored, f.Name) {
+			unused = append(unused, "-"+f.Name)
+		}
+	})
+	if len(unused) > 0 {
+		fmt.Fprintf(stderr, "injectable: scenario %s ignores %s\n", *scenario, strings.Join(unused, " and "))
 		return 2
 	}
 
@@ -155,19 +172,7 @@ func runScenario(scenario, target string, seed uint64, withIDS bool, inst experi
 		fmt.Fprintf(stdout, "scenario %s vs %s: success=%t attempts=%d (%s)\n",
 			scenario, out.Target, out.Success, out.Attempts, out.Detail)
 		if withIDS {
-			if len(out.IDSAlerts) == 0 {
-				fmt.Fprintln(stdout, "IDS: no alerts")
-			}
-			// Map order varies run to run; print by kind so stdout is
-			// deterministic per seed.
-			kinds := make([]ids.AlertKind, 0, len(out.IDSAlerts))
-			for kind := range out.IDSAlerts {
-				kinds = append(kinds, kind)
-			}
-			slices.Sort(kinds)
-			for _, kind := range kinds {
-				fmt.Fprintf(stdout, "IDS: %d × %s\n", out.IDSAlerts[kind], kind)
-			}
+			printIDS(stdout, out.IDSAlerts)
 		}
 		if !out.Success {
 			return 1, nil
@@ -179,6 +184,9 @@ func runScenario(scenario, target string, seed uint64, withIDS bool, inst experi
 		}
 		fmt.Fprintf(stdout, "scenario keyboard: success=%t hijackAttempts=%d (%s)\n",
 			out.Success, out.Attempts, out.Detail)
+		if withIDS {
+			printIDS(stdout, out.IDSAlerts)
+		}
 		if !out.Success {
 			return 1, nil
 		}
@@ -193,6 +201,22 @@ func runScenario(scenario, target string, seed uint64, withIDS bool, inst experi
 		return 0, fmt.Errorf("unknown scenario %q", scenario)
 	}
 	return 0, nil
+}
+
+// printIDS reports the IDS alert counts, one line per kind. Map order
+// varies run to run; printing by kind keeps stdout deterministic per seed.
+func printIDS(stdout io.Writer, alerts map[ids.AlertKind]int) {
+	if len(alerts) == 0 {
+		fmt.Fprintln(stdout, "IDS: no alerts")
+	}
+	kinds := make([]ids.AlertKind, 0, len(alerts))
+	for kind := range alerts {
+		kinds = append(kinds, kind)
+	}
+	slices.Sort(kinds)
+	for _, kind := range kinds {
+		fmt.Fprintf(stdout, "IDS: %d × %s\n", alerts[kind], kind)
+	}
 }
 
 // writeFileWith creates path, runs write against it and closes it,

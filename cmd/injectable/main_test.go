@@ -33,6 +33,21 @@ func TestRunUnknownScenario(t *testing.T) {
 	}
 }
 
+// TestRunRejectsIgnoredFlags: a flag the scenario would ignore exits 2
+// with its name, before any world runs.
+func TestRunRejectsIgnoredFlags(t *testing.T) {
+	for _, argv := range [][]string{
+		{"-scenario", "keyboard", "-target", "keyfob"},
+		{"-scenario", "encrypted", "-target", "lightbulb"},
+		{"-scenario", "encrypted", "-ids"},
+	} {
+		code, stdout, stderr := runCLI(t, argv...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "ignores "+argv[2]) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 naming %s", argv, code, stdout, stderr, argv[2])
+		}
+	}
+}
+
 // TestRunScenarioASmoke runs the seeded scenario-A attack end to end
 // through the CLI surface (seed 77 is a known-success seed, pinned by the
 // experiments package's own tests).
@@ -76,16 +91,22 @@ func TestRunScenarioAWithForensicsAndMetrics(t *testing.T) {
 // is deliberate.
 const instrumentedManifest = "testdata/instrumented_outputs.sha256"
 
-// instrumentedRuns lists the manifest's runs as (label, scenario, target).
-func instrumentedRuns() [][3]string {
-	var runs [][3]string
+// instrumentedRun is one manifest run: its label and the scenario flags,
+// only those the scenario honours.
+type instrumentedRun struct {
+	label string
+	argv  []string
+}
+
+func instrumentedRuns() []instrumentedRun {
+	var runs []instrumentedRun
 	for _, sc := range []string{"A", "B", "C", "D"} {
 		for _, target := range []string{"lightbulb", "keyfob", "smartwatch"} {
-			runs = append(runs, [3]string{sc + "/" + target, sc, target})
+			runs = append(runs, instrumentedRun{sc + "/" + target, []string{"-scenario", sc, "-target", target, "-ids"}})
 		}
 	}
-	return append(runs, [3]string{"keyboard", "keyboard", "lightbulb"},
-		[3]string{"encrypted", "encrypted", "lightbulb"})
+	return append(runs, instrumentedRun{"keyboard", []string{"-scenario", "keyboard", "-ids"}},
+		instrumentedRun{"encrypted", []string{"-scenario", "encrypted"}})
 }
 
 func TestInstrumentedOutputManifest(t *testing.T) {
@@ -95,14 +116,14 @@ func TestInstrumentedOutputManifest(t *testing.T) {
 	}
 	var got strings.Builder
 	for _, r := range instrumentedRuns() {
-		label, sc, target := r[0], r[1], r[2]
+		label, argv := r.label, r.argv
 		dir := t.TempDir()
 		files := []struct{ flag, name string }{
 			{"-metrics", "metrics.jsonl"},
 			{"-chrome-trace", "trace.json"},
 			{"-pcap", "capture.pcap"},
 		}
-		argv := []string{"-scenario", sc, "-target", target, "-seed", "3", "-ids", "-forensics"}
+		argv = append(argv, "-seed", "3", "-forensics")
 		for _, f := range files {
 			argv = append(argv, f.flag, filepath.Join(dir, f.name))
 		}

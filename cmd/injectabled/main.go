@@ -10,7 +10,6 @@
 //	injectabled submit      [-addr url] -experiment name | -spec file.json [-trials n] [-format f] ...
 //	injectabled coordinator -workers url,url,... -experiment name | -spec file.json [-shards n] [-journal file] [-format f] ...
 //	injectabled transcode   [-i file] [-o file] [-to ndjson|binary]
-//	injectabled loadgen     [-addr url | -self] [-clients n] [-jobs n] ...
 //
 // serve runs until SIGINT/SIGTERM, then drains: accepted jobs finish,
 // new submissions are rejected with 503. A second signal cancels the
@@ -65,8 +64,6 @@ func run(argv []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return runCoordinator(argv[1:], stdout, stderr, ready)
 	case "transcode":
 		return runTranscode(argv[1:], stdout, stderr)
-	case "loadgen":
-		return runLoadgen(argv[1:], stdout, stderr)
 	case "-h", "-help", "--help", "help":
 		usage(stdout)
 		return 0
@@ -85,7 +82,6 @@ func usage(w io.Writer) {
   injectabled coordinator -workers url,url,... -experiment name | -spec file.json [-shards n] [-journal file] [-max-attempts n] [-format ndjson|binary] [-o file]
                           [-status addr] [-linger d] [-trace file] [-scrape-interval d] [-log-level l] [-pprof addr]
   injectabled transcode   [-i file] [-o file] [-to ndjson|binary]   (losslessly convert a result stream; direction auto-detected)
-  injectabled loadgen     [-addr url | -self] [-clients n] [-jobs n] [-experiment name] [-target t] [-trials n] [-variants n]
 `)
 }
 
@@ -203,8 +199,8 @@ func runServe(argv []string, stdout, stderr io.Writer, ready chan<- string) int 
 	return code
 }
 
-// specFlags registers the job-spec flags shared by submit, coordinator
-// and loadgen. -spec embeds a declarative scenario file
+// specFlags registers the job-spec flags shared by submit and
+// coordinator. -spec embeds a declarative scenario file
 // (internal/scenario) in place of a catalog experiment name; the file is
 // validated and canonicalized client-side, so the job's dedup key is the
 // one every daemon would compute.
@@ -549,60 +545,5 @@ func runTranscode(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "injectabled:", err)
 		return 1
 	}
-	return 0
-}
-
-func runLoadgen(argv []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("injectabled loadgen", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	addr := fs.String("addr", "http://127.0.0.1:8077", "daemon base URL")
-	self := fs.Bool("self", false, "run against a fresh in-process daemon instead of -addr")
-	clients := fs.Int("clients", 8, "concurrent submitters")
-	jobs := fs.Int("jobs", 64, "total submissions")
-	variants := fs.Int("variants", 0, "distinct seed_base variants of the spec (0 = default mix)")
-	spec := specFlags(fs)
-	if err := fs.Parse(argv); err != nil {
-		return 2
-	}
-
-	base := *addr
-	if *self {
-		srv := serve.NewServer(serve.Config{Hub: obs.NewHub()})
-		defer srv.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(stderr, "injectabled:", err)
-			return 1
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go httpSrv.Serve(ln)
-		defer httpSrv.Close()
-		base = "http://" + ln.Addr().String()
-		fmt.Fprintf(stderr, "loadgen: in-process daemon on %s\n", base)
-	}
-
-	s, err := spec()
-	if err != nil {
-		fmt.Fprintln(stderr, "injectabled:", err)
-		return 2
-	}
-	cfg := serve.LoadgenConfig{Clients: *clients, Jobs: *jobs}
-	if s.Experiment != "" {
-		if *variants <= 0 {
-			*variants = 1
-		}
-		s = s.Normalize()
-		for v := 0; v < *variants; v++ {
-			vs := s
-			vs.SeedBase = s.SeedBase + uint64(v)*1_000_000
-			cfg.Specs = append(cfg.Specs, vs)
-		}
-	}
-	rep, err := serve.Loadgen(context.Background(), &serve.Client{Base: base}, cfg, stderr)
-	if err != nil {
-		fmt.Fprintln(stderr, "injectabled:", err)
-		return 1
-	}
-	fmt.Fprint(stdout, rep.Table())
 	return 0
 }

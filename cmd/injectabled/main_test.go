@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -100,28 +99,6 @@ func TestServeSubmitDrain(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatalf("serve did not exit after SIGTERM: %s", serveErr.String())
-	}
-}
-
-// TestLoadgenSelf exercises the self-contained load mode and its table.
-func TestLoadgenSelf(t *testing.T) {
-	var stdout, stderr strings.Builder
-	code := run([]string{"loadgen", "-self", "-clients", "4", "-jobs", "12",
-		"-experiment", "scenarioA", "-target", "lightbulb", "-trials", "2",
-		"-seed-base", "7", "-variants", "2"},
-		&stdout, &stderr, nil)
-	if code != 0 {
-		t.Fatalf("loadgen exited %d: %s", code, stderr.String())
-	}
-	table := stdout.String()
-	for _, want := range []string{"throughput jobs/s", "latency p50", "latency p99",
-		"cache hit ratio", "errors"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("table missing %q:\n%s", want, table)
-		}
-	}
-	if !strings.Contains(table, fmt.Sprintf("%-22s %12s", "errors", "0")) {
-		t.Errorf("loadgen reported errors:\n%s\n%s", table, stderr.String())
 	}
 }
 

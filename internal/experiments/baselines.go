@@ -33,11 +33,11 @@ type BaselineOutcome struct {
 // role. Loud and slow compared to scenario C's single forged frame.
 func RunBTLEJackBaseline(seed uint64) (BaselineOutcome, error) {
 	out := BaselineOutcome{Name: "btlejack-jam-hijack", Detail: "jam slave responses until master times out"}
-	tw, err := buildTrialWorld(TrialConfig{Seed: seed, CentralName: "phone", IDS: true}.withDefaults(), Instrumentation{})
+	tw, err := BuildTrialWorld(TrialConfig{Seed: seed, CentralName: "phone", IDS: true}.WithDefaults(), Instrumentation{})
 	if err != nil {
 		return out, err
 	}
-	if err := tw.connect(nil); err != nil {
+	if err := tw.Connect(nil); err != nil {
 		return out, err
 	}
 	if tw.linkErr() != nil {
@@ -45,7 +45,7 @@ func RunBTLEJackBaseline(seed uint64) (BaselineOutcome, error) {
 	}
 
 	// BTLEJack needs only the sniffer; its injector stays idle.
-	w, stack, sniffer := tw.w, tw.atk.Stack, tw.atk.Sniffer
+	w, stack, sniffer := tw.W, tw.Atk.Stack, tw.Atk.Sniffer
 	start := w.Now()
 	// BTLEJack jams with a power advantage; model the nRF's maximum.
 	stack.Radio.SetTxPower(8)
@@ -74,7 +74,7 @@ func RunBTLEJackBaseline(seed uint64) (BaselineOutcome, error) {
 
 	var conn *link.Conn
 	masterGone := false
-	tw.phone.Central.OnDisconnect = func(link.DisconnectReason) {
+	tw.Phone.Central.OnDisconnect = func(link.DisconnectReason) {
 		masterGone = true
 		jamming = false
 		out.TimeToEffect = w.Now().Sub(start)
@@ -99,8 +99,8 @@ func RunBTLEJackBaseline(seed uint64) (BaselineOutcome, error) {
 	if !masterGone {
 		return out, nil
 	}
-	out.Success = conn != nil && !conn.Closed() && tw.peripheral.Connected()
-	out.IDSJammingAlerts = len(tw.monitor.AlertsOf(ids.AlertJamming))
+	out.Success = conn != nil && !conn.Closed() && tw.Peripheral.Connected()
+	out.IDSJammingAlerts = len(tw.Monitor.AlertsOf(ids.AlertJamming))
 	return out, nil
 }
 
@@ -112,23 +112,23 @@ func RunInjectaBLEMasterHijackComparison(seed uint64) (BaselineOutcome, error) {
 	if err != nil {
 		return out, err
 	}
-	start := tw.w.Now()
+	start := tw.W.Now()
 	var hijack *injectable.MasterHijack
-	err = tw.atk.HijackMaster(injectable.UpdateParams{},
+	err = tw.Atk.HijackMaster(injectable.UpdateParams{},
 		func(h *injectable.MasterHijack, e error) {
 			hijack = h
-			out.TimeToEffect = tw.w.Now().Sub(start)
+			out.TimeToEffect = tw.W.Now().Sub(start)
 		})
 	if err != nil {
 		return out, err
 	}
-	tw.w.RunFor(60 * sim.Second)
+	tw.W.RunFor(60 * sim.Second)
 	if hijack == nil {
 		return out, nil
 	}
 	out.FramesTransmitted = hijack.Report.AttemptCount()
-	out.Success = !hijack.Conn.Closed() && tw.peripheral.Connected() && !tw.phone.Central.Connected()
-	out.IDSJammingAlerts = len(tw.monitor.AlertsOf(ids.AlertJamming))
+	out.Success = !hijack.Conn.Closed() && tw.Peripheral.Connected() && !tw.Phone.Central.Connected()
+	out.IDSJammingAlerts = len(tw.Monitor.AlertsOf(ids.AlertJamming))
 	return out, nil
 }
 
@@ -144,13 +144,13 @@ func RunGATTackerBaseline(seed uint64, connectionEstablishedFirst bool) (Baselin
 		name += "-vs-established"
 	}
 	out := BaselineOutcome{Name: name, Detail: "advertisement spoofing (pre-connection only)"}
-	cfg := TrialConfig{Seed: seed, CentralName: "phone"}.withDefaults()
-	tw, err := buildTrialWorld(cfg, Instrumentation{})
+	cfg := TrialConfig{Seed: seed, CentralName: "phone"}.WithDefaults()
+	tw, err := BuildTrialWorld(cfg, Instrumentation{})
 	if err != nil {
 		return out, err
 	}
 	// The InjectaBLE attacker stays idle; GATTacker brings two dongles.
-	w, bulb, phone := tw.w, tw.peripheral, tw.phone
+	w, bulb, phone := tw.W, tw.Peripheral, tw.Phone
 	holdDev := w.NewDevice(host.DeviceConfig{Name: "attacker-hold", Position: cfg.AttackerPos})
 	cloneDev := w.NewDevice(host.DeviceConfig{Name: "attacker-clone", Position: cfg.AttackerPos})
 

@@ -19,12 +19,12 @@ func TestCounterfactualIsServable(t *testing.T) {
 	if !found {
 		t.Fatalf("SweepNames() = %v, missing %q", SweepNames(), counterfactualName)
 	}
-	n, err := SweepPointCount(counterfactualName, Options{})
+	full, err := SweepSpec(counterfactualName, Options{TrialsPerPoint: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 {
-		t.Fatalf("SweepPointCount = %d, want 4 payloads", n)
+	if n := len(full.Points); n != 4 {
+		t.Fatalf("SweepSpec has %d points, want 4 payloads", n)
 	}
 	spec, err := SweepSpec(counterfactualName, Options{TrialsPerPoint: 1, PointStart: 1, PointCount: 2})
 	if err != nil {

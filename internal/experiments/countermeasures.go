@@ -109,16 +109,16 @@ func WideningReduction(opts Options) ([]WideningReductionOutcome, error) {
 // scaledConfig is the widening-reduction world: the bulb's receive window
 // scaled, the central at Hop Interval 36, at most 60 injection attempts.
 func scaledConfig(seed uint64, scale float64) TrialConfig {
-	return TrialConfig{Seed: seed, WideningScale: scale, MaxAttempts: 60}.withDefaults()
+	return TrialConfig{Seed: seed, WideningScale: scale, MaxAttempts: 60}.WithDefaults()
 }
 
 // runScaledTrial is one injection trial with a widening-scaled slave.
 func runScaledTrial(seed uint64, scale float64) (TrialResult, error) {
-	tw, err := buildTrialWorld(scaledConfig(seed, scale), Instrumentation{})
+	tw, err := BuildTrialWorld(scaledConfig(seed, scale), Instrumentation{})
 	if err != nil {
 		return TrialResult{}, err
 	}
-	if err := tw.connect(nil); err != nil {
+	if err := tw.Connect(nil); err != nil {
 		return TrialResult{}, err
 	}
 	if tw.linkErr() != nil {
@@ -129,10 +129,10 @@ func runScaledTrial(seed uint64, scale float64) (TrialResult, error) {
 	}
 	handle, value := tw.featureWrite()
 	var rep *injectable.Report
-	if err := tw.atk.InjectWrite(handle, value, func(r injectable.Report) { rep = &r }); err != nil {
+	if err := tw.Atk.InjectWrite(handle, value, func(r injectable.Report) { rep = &r }); err != nil {
 		return TrialResult{}, err
 	}
-	tw.w.RunFor(60 * sim.Second)
+	tw.W.RunFor(60 * sim.Second)
 	if rep == nil {
 		return TrialResult{}, fmt.Errorf("experiments: scaled trial did not settle")
 	}
@@ -142,14 +142,14 @@ func runScaledTrial(seed uint64, scale float64) (TrialResult, error) {
 // runCleanScaled measures a clean connection's slave miss rate under the
 // scaled window. The attacker stays idle and the handshake is 2 s.
 func runCleanScaled(seed uint64, scale float64) (missed, total int, dropped bool, err error) {
-	tw, err := buildTrialWorld(scaledConfig(seed, scale), Instrumentation{})
+	tw, err := BuildTrialWorld(scaledConfig(seed, scale), Instrumentation{})
 	if err != nil {
 		return 0, 0, false, err
 	}
-	tw.peripheral.StartAdvertising()
-	tw.phone.Connect(tw.peripheral.Device.Address())
-	tw.w.RunFor(2 * sim.Second)
-	conn := tw.peripheral.Conn()
+	tw.Peripheral.StartAdvertising()
+	tw.Phone.Connect(tw.Peripheral.Device.Address())
+	tw.W.RunFor(2 * sim.Second)
+	conn := tw.Peripheral.Conn()
 	if conn == nil {
 		return 0, 1, true, nil
 	}
@@ -159,8 +159,8 @@ func runCleanScaled(seed uint64, scale float64) (missed, total int, dropped bool
 			missed++
 		}
 	}
-	tw.w.RunFor(20 * sim.Second)
-	dropped = !tw.phone.Central.Connected() || !tw.peripheral.Connected()
+	tw.W.RunFor(20 * sim.Second)
+	dropped = !tw.Phone.Central.Connected() || !tw.Peripheral.Connected()
 	return missed, total, dropped, nil
 }
 
@@ -219,7 +219,7 @@ func RunAppLayerCrypto(seed uint64) (AppLayerCryptoOutcome, error) {
 		return len(v) > 2 && v[len(v)-1] == 0xA7 && v[len(v)-2] == 0x55
 	}
 	executed := false
-	tw.peripheral.GATT.FindCharacteristic(devices.UUIDBulbControl).OnWrite = func(v []byte) {
+	tw.Peripheral.GATT.FindCharacteristic(devices.UUIDBulbControl).OnWrite = func(v []byte) {
 		if authenticated(v) {
 			executed = true
 		}
@@ -229,10 +229,10 @@ func RunAppLayerCrypto(seed uint64) (AppLayerCryptoOutcome, error) {
 	// application discards it.
 	handle, value := tw.featureWrite()
 	var rep *injectable.Report
-	if err := tw.atk.InjectWrite(handle, value, func(r injectable.Report) { rep = &r }); err != nil {
+	if err := tw.Atk.InjectWrite(handle, value, func(r injectable.Report) { rep = &r }); err != nil {
 		return out, err
 	}
-	tw.w.RunFor(40 * sim.Second)
+	tw.W.RunFor(40 * sim.Second)
 	out.WriteInjectionExecuted = executed
 	if rep == nil || !rep.Success {
 		return out, fmt.Errorf("experiments: injection itself failed")
@@ -240,7 +240,7 @@ func RunAppLayerCrypto(seed uint64) (AppLayerCryptoOutcome, error) {
 
 	// Scenario B still works: LL control frames bypass GATT-layer crypto.
 	var hijack *injectable.SlaveHijack
-	err = tw.atk.HijackSlave(forgedNameServer(), func(h *injectable.SlaveHijack, e error) {
+	err = tw.Atk.HijackSlave(forgedNameServer(), func(h *injectable.SlaveHijack, e error) {
 		if e == nil {
 			hijack = h
 		}
@@ -248,9 +248,9 @@ func RunAppLayerCrypto(seed uint64) (AppLayerCryptoOutcome, error) {
 	if err != nil {
 		return out, err
 	}
-	tw.w.RunFor(40 * sim.Second)
-	out.SlaveHijacked = hijack != nil && !tw.peripheral.Connected()
-	out.MasterStillServed = tw.phone.Central.Connected()
+	tw.W.RunFor(40 * sim.Second)
+	out.SlaveHijacked = hijack != nil && !tw.Peripheral.Connected()
+	out.MasterStillServed = tw.Phone.Central.Connected()
 	return out, nil
 }
 

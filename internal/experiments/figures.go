@@ -75,18 +75,18 @@ func TableIIConnectReq() *Table {
 // Interval 24, the attacker idle — and brings the link up with a 2 s
 // handshake and no sniffer. o, when non-nil, watches the medium from the
 // start.
-func figRig(seed uint64, o medium.Observer) (*trialWorld, error) {
-	tw, err := buildTrialWorld(TrialConfig{Seed: seed, Interval: 24, CentralName: "phone"}.withDefaults(), Instrumentation{})
+func figRig(seed uint64, o medium.Observer) (*TrialWorld, error) {
+	tw, err := BuildTrialWorld(TrialConfig{Seed: seed, Interval: 24, CentralName: "phone"}.WithDefaults(), Instrumentation{})
 	if err != nil {
 		return nil, err
 	}
 	if o != nil {
-		tw.w.Medium.AddObserver(o)
+		tw.W.Medium.AddObserver(o)
 	}
-	tw.peripheral.StartAdvertising()
-	tw.phone.Connect(tw.peripheral.Device.Address())
-	tw.w.RunFor(2 * sim.Second)
-	if !tw.phone.Central.Connected() {
+	tw.Peripheral.StartAdvertising()
+	tw.Phone.Connect(tw.Peripheral.Device.Address())
+	tw.W.RunFor(2 * sim.Second)
+	if !tw.Phone.Central.Connected() {
 		return nil, fmt.Errorf("experiments: figure rig connection failed")
 	}
 	return tw, nil
@@ -142,15 +142,15 @@ func Fig2ConnectionUpdate(seed uint64) (*Table, error) {
 		return nil, err
 	}
 	var anchors []sim.Time
-	tw.peripheral.Conn().OnEvent = func(e link.EventInfo) {
+	tw.Peripheral.Conn().OnEvent = func(e link.EventInfo) {
 		if !e.Missed {
 			anchors = append(anchors, e.Anchor)
 		}
 	}
-	if err := tw.phone.Central.Conn().RequestConnectionUpdate(2, 4, 48, 0, 200); err != nil {
+	if err := tw.Phone.Central.Conn().RequestConnectionUpdate(2, 4, 48, 0, 200); err != nil {
 		return nil, err
 	}
-	tw.w.RunFor(3 * sim.Second)
+	tw.W.RunFor(3 * sim.Second)
 	if len(anchors) < 8 {
 		return nil, fmt.Errorf("experiments: too few anchors")
 	}
@@ -186,17 +186,17 @@ func Fig3AttackOverview(seed uint64) (*Table, error) {
 		return nil, err
 	}
 	var masterTx []sim.Time
-	tw.w.Medium.AddObserver(obsFunc(func(o medium.TxObservation) {
+	tw.W.Medium.AddObserver(obsFunc(func(o medium.TxObservation) {
 		if o.Source == "phone" && o.Channel.IsData() {
 			masterTx = append(masterTx, o.StartAt)
 		}
 	}))
 	handle, value := tw.featureWrite()
 	var rep *injectable.Report
-	if err := tw.atk.InjectWrite(handle, value, func(r injectable.Report) { rep = &r }); err != nil {
+	if err := tw.Atk.InjectWrite(handle, value, func(r injectable.Report) { rep = &r }); err != nil {
 		return nil, err
 	}
-	tw.w.RunFor(60 * sim.Second)
+	tw.W.RunFor(60 * sim.Second)
 	if rep == nil || !rep.Success {
 		return nil, fmt.Errorf("experiments: fig3 injection failed")
 	}

@@ -33,7 +33,7 @@ func WarmTrialSeed(base uint64) uint64 {
 // point); it is not safe for concurrent use.
 type WarmTrial struct {
 	cfg  TrialConfig
-	tw   *trialWorld
+	tw   *TrialWorld
 	hub  *obs.Hub
 	snap *host.Snapshot
 }
@@ -45,10 +45,10 @@ type WarmTrial struct {
 // per-trial sink — so each trial's observability is exactly what a
 // self-warming trial would have recorded.
 func NewWarmTrial(cfg TrialConfig, warmSeed uint64) (*WarmTrial, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	cfg.Seed = warmSeed
 	hub := obs.NewHub()
-	tw, err := buildTrialWorld(cfg, Instrumentation{Obs: hub})
+	tw, err := BuildTrialWorld(cfg, Instrumentation{Obs: hub})
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +56,7 @@ func NewWarmTrial(cfg TrialConfig, warmSeed uint64) (*WarmTrial, error) {
 		return nil, err
 	}
 	wt := &WarmTrial{cfg: cfg, tw: tw, hub: hub}
-	wt.snap = tw.w.Snapshot()
+	wt.snap = tw.W.Snapshot()
 	return wt, nil
 }
 
@@ -66,8 +66,8 @@ func NewWarmTrial(cfg TrialConfig, warmSeed uint64) (*WarmTrial, error) {
 // sink may be nil (no observability). Any number of RunFork calls replay
 // from the same snapshot; equal trial seeds give byte-identical results.
 func (wt *WarmTrial) RunFork(trialSeed uint64, sink *obs.Hub, ctx context.Context) (TrialResult, error) {
-	wt.tw.w.Fork(wt.snap)
-	wt.tw.w.RekeyStreams(trialSeed)
+	wt.tw.W.Fork(wt.snap)
+	wt.tw.W.RekeyStreams(trialSeed)
 	cfg := wt.cfg
 	cfg.Ctx = ctx
 	res, err := wt.tw.attack(cfg)
@@ -83,17 +83,17 @@ func (wt *WarmTrial) RunFork(trialSeed uint64, sink *obs.Hub, ctx context.Contex
 // sink does.
 func RunTrialWarmFresh(cfg TrialConfig, warmSeed, trialSeed uint64) (TrialResult, error) {
 	sink := cfg.Obs
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	cfg.Seed = warmSeed
 	hub := obs.NewHub()
-	tw, err := buildTrialWorld(cfg, Instrumentation{Obs: hub})
+	tw, err := BuildTrialWorld(cfg, Instrumentation{Obs: hub})
 	if err != nil {
 		return TrialResult{}, err
 	}
 	if err := tw.warm(cfg); err != nil {
 		return TrialResult{}, err
 	}
-	tw.w.RekeyStreams(trialSeed)
+	tw.W.RekeyStreams(trialSeed)
 	res, err := tw.attack(cfg)
 	sink.Absorb(hub)
 	return res, err
@@ -132,10 +132,10 @@ func (wt *WarmTrial) RunCounterfactual(trialSeed uint64, sink *obs.Hub, ctx cont
 	}
 
 	// Baseline arm: same fork, same randomness, no injector.
-	wt.tw.w.Fork(wt.snap)
-	wt.tw.w.RekeyStreams(trialSeed)
+	wt.tw.W.Fork(wt.snap)
+	wt.tw.W.RekeyStreams(trialSeed)
 	baseline := wt.tw.effectProbe(wt.cfg)
-	if err := runFor(wt.tw.w, wt.cfg.SimBudget, ctx, nil); err != nil {
+	if err := runFor(wt.tw.W, wt.cfg.SimBudget, ctx, nil); err != nil {
 		return CounterfactualOutcome{}, err
 	}
 	return CounterfactualOutcome{

@@ -82,20 +82,6 @@ func SweepSpec(name string, opts Options) (*campaign.Spec, error) {
 	return BuildSweep(opts, def.id, pts), nil
 }
 
-// SweepPointCount reports how many points a named sweep expands to under
-// these options — the fabric planner's shard-range arithmetic.
-func SweepPointCount(name string, opts Options) (int, error) {
-	opts.applyDefaults()
-	if name == counterfactualName {
-		return len(counterfactualPoints(opts)), nil
-	}
-	def, ok := sweepDefs()[name]
-	if !ok {
-		return 0, fmt.Errorf("experiments: unknown sweep %q", name)
-	}
-	return len(def.pts(opts)), nil
-}
-
 // SlicePoints bounds-checks and applies a point range: [start, start+count)
 // with count 0 meaning "through the end". (0, 0) returns pts unchanged.
 func SlicePoints[P any](name string, pts []P, start, count int) ([]P, error) {

@@ -40,13 +40,13 @@ func (c *lateCancelCtx) Err() error {
 const runForSlice = 250 * sim.Millisecond
 
 func TestRunForExactSliceChecksContextOnce(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
+	tw, _ := BuildTrialWorld(shortCfg().WithDefaults(), Instrumentation{})
 	ctx := &countingCtx{Context: context.Background()}
-	start := tw.w.Now()
-	if err := runFor(tw.w, runForSlice, ctx, nil); err != nil {
+	start := tw.W.Now()
+	if err := runFor(tw.W, runForSlice, ctx, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := sim.Duration(tw.w.Now() - start); got != runForSlice {
+	if got := sim.Duration(tw.W.Now() - start); got != runForSlice {
 		t.Fatalf("advanced %v, want %v", got, runForSlice)
 	}
 	// d == slice is one slice, hence one check. The historical bug was a
@@ -58,14 +58,14 @@ func TestRunForExactSliceChecksContextOnce(t *testing.T) {
 }
 
 func TestRunForSlicePlusOneChecksContextTwice(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
+	tw, _ := BuildTrialWorld(shortCfg().WithDefaults(), Instrumentation{})
 	ctx := &countingCtx{Context: context.Background()}
 	d := runForSlice + 1 // one full slice plus a 1ns remainder
-	start := tw.w.Now()
-	if err := runFor(tw.w, d, ctx, nil); err != nil {
+	start := tw.W.Now()
+	if err := runFor(tw.W, d, ctx, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := sim.Duration(tw.w.Now() - start); got != d {
+	if got := sim.Duration(tw.W.Now() - start); got != d {
 		t.Fatalf("advanced %v, want %v", got, d)
 	}
 	if ctx.calls != 2 {
@@ -74,94 +74,94 @@ func TestRunForSlicePlusOneChecksContextTwice(t *testing.T) {
 }
 
 func TestRunForCancelDuringFinalSliceStillSucceeds(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
+	tw, _ := BuildTrialWorld(shortCfg().WithDefaults(), Instrumentation{})
 	// Cancellation becomes visible at the second check — after the only
 	// slice of a d == slice span has already been simulated to completion.
 	ctx := &lateCancelCtx{Context: context.Background(), cancelAt: 2}
-	if err := runFor(tw.w, runForSlice, ctx, nil); err != nil {
+	if err := runFor(tw.W, runForSlice, ctx, nil); err != nil {
 		t.Fatalf("completed span failed with %v", err)
 	}
 }
 
 func TestRunForCancelBeforeSecondSliceStopsEarly(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
+	tw, _ := BuildTrialWorld(shortCfg().WithDefaults(), Instrumentation{})
 	ctx := &lateCancelCtx{Context: context.Background(), cancelAt: 2}
-	start := tw.w.Now()
-	err := runFor(tw.w, runForSlice+1, ctx, nil)
+	start := tw.W.Now()
+	err := runFor(tw.W, runForSlice+1, ctx, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if got := sim.Duration(tw.w.Now() - start); got != runForSlice {
+	if got := sim.Duration(tw.W.Now() - start); got != runForSlice {
 		t.Fatalf("advanced %v before stopping, want exactly one slice (%v)", got, runForSlice)
 	}
 }
 
 func TestRunForCanceledUpfrontAdvancesNothing(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
+	tw, _ := BuildTrialWorld(shortCfg().WithDefaults(), Instrumentation{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	start := tw.w.Now()
-	if err := runFor(tw.w, runForSlice, ctx, nil); err != context.Canceled {
+	start := tw.W.Now()
+	if err := runFor(tw.W, runForSlice, ctx, nil); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if tw.w.Now() != start {
+	if tw.W.Now() != start {
 		t.Fatal("canceled span advanced the world")
 	}
 }
 
 func TestRunForNilContextRunsWhole(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
-	start := tw.w.Now()
+	tw, _ := BuildTrialWorld(shortCfg().WithDefaults(), Instrumentation{})
+	start := tw.W.Now()
 	d := 3*runForSlice + 7
-	if err := runFor(tw.w, d, nil, nil); err != nil {
+	if err := runFor(tw.W, d, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := sim.Duration(tw.w.Now() - start); got != d {
+	if got := sim.Duration(tw.W.Now() - start); got != d {
 		t.Fatalf("advanced %v, want %v", got, d)
 	}
 }
 
 // doneAfter reports true once the world has advanced at least d past
 // start.
-func doneAfter(tw *trialWorld, start sim.Time, d sim.Duration) func() bool {
-	return func() bool { return sim.Duration(tw.w.Now()-start) >= d }
+func doneAfter(tw *TrialWorld, start sim.Time, d sim.Duration) func() bool {
+	return func() bool { return sim.Duration(tw.W.Now()-start) >= d }
 }
 
 func TestRunForDoneStopsAtFirstBoundaryAfter(t *testing.T) {
 	for _, ctx := range []context.Context{nil, context.Background()} {
-		tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
-		start := tw.w.Now()
+		tw, _ := BuildTrialWorld(shortCfg().WithDefaults(), Instrumentation{})
+		start := tw.W.Now()
 		// done turns true 600 ms in, inside the third slice: the span ends
 		// at that slice's boundary, not at 600 ms and not at d.
-		if err := runFor(tw.w, 40*runForSlice, ctx, doneAfter(tw, start, 600*sim.Millisecond)); err != nil {
+		if err := runFor(tw.W, 40*runForSlice, ctx, doneAfter(tw, start, 600*sim.Millisecond)); err != nil {
 			t.Fatal(err)
 		}
-		if got := sim.Duration(tw.w.Now() - start); got != 3*runForSlice {
+		if got := sim.Duration(tw.W.Now() - start); got != 3*runForSlice {
 			t.Fatalf("ctx %v: advanced %v, want %v", ctx, got, 3*runForSlice)
 		}
 	}
 }
 
 func TestRunForDoneUpfrontAdvancesNothing(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
-	start := tw.w.Now()
-	if err := runFor(tw.w, runForSlice, nil, func() bool { return true }); err != nil {
+	tw, _ := BuildTrialWorld(shortCfg().WithDefaults(), Instrumentation{})
+	start := tw.W.Now()
+	if err := runFor(tw.W, runForSlice, nil, func() bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	if tw.w.Now() != start {
+	if tw.W.Now() != start {
 		t.Fatal("a span already decided advanced the world")
 	}
 }
 
 func TestRunForNeverDoneRunsWholeAndChecksContextPerSlice(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
+	tw, _ := BuildTrialWorld(shortCfg().WithDefaults(), Instrumentation{})
 	ctx := &countingCtx{Context: context.Background()}
 	d := 3*runForSlice + 7
-	start := tw.w.Now()
-	if err := runFor(tw.w, d, ctx, func() bool { return false }); err != nil {
+	start := tw.W.Now()
+	if err := runFor(tw.W, d, ctx, func() bool { return false }); err != nil {
 		t.Fatal(err)
 	}
-	if got := sim.Duration(tw.w.Now() - start); got != d {
+	if got := sim.Duration(tw.W.Now() - start); got != d {
 		t.Fatalf("advanced %v, want %v", got, d)
 	}
 	if ctx.calls != 4 {
@@ -170,13 +170,13 @@ func TestRunForNeverDoneRunsWholeAndChecksContextPerSlice(t *testing.T) {
 }
 
 func TestRunForDecidedSpanIgnoresLateCancel(t *testing.T) {
-	tw, _ := buildTrialWorld(shortCfg().withDefaults(), Instrumentation{})
-	start := tw.w.Now()
+	tw, _ := BuildTrialWorld(shortCfg().WithDefaults(), Instrumentation{})
+	start := tw.W.Now()
 	// Cancellation shows from the second check on, by which point the
 	// span is decided: like a completed final slice, that is a finished
 	// simulation, not a canceled one.
 	ctx := &lateCancelCtx{Context: context.Background(), cancelAt: 2}
-	if err := runFor(tw.w, 40*runForSlice, ctx, doneAfter(tw, start, runForSlice)); err != nil {
+	if err := runFor(tw.W, 40*runForSlice, ctx, doneAfter(tw, start, runForSlice)); err != nil {
 		t.Fatalf("decided span failed with %v", err)
 	}
 	if ctx.calls != 1 {
@@ -223,7 +223,7 @@ func TestRunForkStopsOnceDecidedWithUnchangedForensics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := wt.tw.w.Now()
+	start := wt.tw.W.Now()
 	res, err := wt.RunFork(cfg.Seed, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestRunForkStopsOnceDecidedWithUnchangedForensics(t *testing.T) {
 	if !res.Success || !res.EffectObserved {
 		t.Fatalf("trial not decided as a success: %+v", res)
 	}
-	span := sim.Duration(wt.tw.w.Now() - start)
+	span := sim.Duration(wt.tw.W.Now() - start)
 	if span > decidedSpan || span%runForSlice != 0 {
 		t.Fatalf("forked trial simulated %v, want a whole number of slices within %v", span, decidedSpan)
 	}
@@ -239,7 +239,7 @@ func TestRunForkStopsOnceDecidedWithUnchangedForensics(t *testing.T) {
 	// attempt and changes no forensics record.
 	recs := append([]obs.InjectionRecord(nil), wt.Forensics()...)
 	attempts := counterValue(wt.hub.Snapshot(), "inject.attempts")
-	if err := runFor(wt.tw.w, wt.cfg.SimBudget-span, nil, nil); err != nil {
+	if err := runFor(wt.tw.W, wt.cfg.SimBudget-span, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wt.Forensics(), recs) {
@@ -282,7 +282,7 @@ func TestFullBudgetWhenUndecided(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			start := wt.tw.w.Now()
+			start := wt.tw.W.Now()
 			res, err := wt.RunFork(tc.cfg.Seed, nil, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -290,7 +290,7 @@ func TestFullBudgetWhenUndecided(t *testing.T) {
 			if tc.name == "ablation-guard/frozen" && (res.Success || res.EffectObserved) {
 				t.Fatalf("frozen guard trial should fail without effect: %+v", res)
 			}
-			if span := sim.Duration(wt.tw.w.Now() - start); span != wt.cfg.SimBudget {
+			if span := sim.Duration(wt.tw.W.Now() - start); span != wt.cfg.SimBudget {
 				t.Fatalf("simulated %v, want the whole %v budget", span, wt.cfg.SimBudget)
 			}
 		})

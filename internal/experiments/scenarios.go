@@ -19,17 +19,17 @@ import (
 // triangle around target, the victim named after its type and the
 // central named "phone", and brings the link up with connect's one-shot
 // handshake. There are no retries: a failed handshake fails the run.
-func scenarioWorld(target string, seed uint64, withIDS bool, inst Instrumentation) (*trialWorld, error) {
+func scenarioWorld(target string, seed uint64, withIDS bool, inst Instrumentation) (*TrialWorld, error) {
 	if target == "" {
-		// buildTrialWorld reads an empty Target as the lightbulb.
+		// BuildTrialWorld reads an empty Target as the lightbulb.
 		return nil, fmt.Errorf("experiments: unknown target %q", target)
 	}
 	cfg := TrialConfig{Seed: seed, Target: target, TargetName: target, CentralName: "phone", IDS: withIDS}
-	tw, err := buildTrialWorld(cfg.withDefaults(), inst)
+	tw, err := BuildTrialWorld(cfg.WithDefaults(), inst)
 	if err != nil {
 		return nil, err
 	}
-	if err := tw.connect(nil); err != nil {
+	if err := tw.Connect(nil); err != nil {
 		return nil, err
 	}
 	if err := tw.linkErr(); err != nil {
@@ -107,11 +107,11 @@ func scenarioA(target string, seed uint64, withIDS bool, inst Instrumentation) (
 	}
 	handle, value := tw.featureWrite()
 	var rep *injectable.Report
-	if err := tw.atk.InjectWrite(handle, value, func(r injectable.Report) { rep = &r }); err != nil {
+	if err := tw.Atk.InjectWrite(handle, value, func(r injectable.Report) { rep = &r }); err != nil {
 		return ScenarioOutcome{}, err
 	}
-	tw.w.RunFor(60 * sim.Second)
-	out := ScenarioOutcome{Target: target, Detail: scenarioFeatures[target].desc, IDSAlerts: alertCounts(tw.monitor)}
+	tw.W.RunFor(60 * sim.Second)
+	out := ScenarioOutcome{Target: target, Detail: scenarioFeatures[target].desc, IDSAlerts: alertCounts(tw.Monitor)}
 	if rep != nil {
 		out.Attempts = rep.AttemptCount()
 		out.Success = rep.Success && tw.featureShown()
@@ -127,12 +127,12 @@ func scenarioB(target string, seed uint64, withIDS bool, inst Instrumentation) (
 	}
 	var hijack *injectable.SlaveHijack
 	var herr error
-	err = tw.atk.HijackSlave(forgedNameServer(), func(h *injectable.SlaveHijack, e error) { hijack, herr = h, e })
+	err = tw.Atk.HijackSlave(forgedNameServer(), func(h *injectable.SlaveHijack, e error) { hijack, herr = h, e })
 	if err != nil {
 		return ScenarioOutcome{}, err
 	}
-	tw.w.RunFor(40 * sim.Second)
-	out := ScenarioOutcome{Target: target, Detail: "slave hijack + forged name", IDSAlerts: alertCounts(tw.monitor)}
+	tw.W.RunFor(40 * sim.Second)
+	out := ScenarioOutcome{Target: target, Detail: "slave hijack + forged name", IDSAlerts: alertCounts(tw.Monitor)}
 	if herr != nil || hijack == nil {
 		return out, nil
 	}
@@ -140,13 +140,13 @@ func scenarioB(target string, seed uint64, withIDS bool, inst Instrumentation) (
 
 	// Verify: legitimate slave expelled, master alive, forged name served.
 	var name []byte
-	tw.phone.GATT().Read(3, func(v []byte, err error) {
+	tw.Phone.GATT().Read(3, func(v []byte, err error) {
 		if err == nil {
 			name = v
 		}
 	})
-	tw.w.RunFor(5 * sim.Second)
-	out.Success = !tw.peripheral.Connected() && tw.phone.Central.Connected() && string(name) == "Hacked"
+	tw.W.RunFor(5 * sim.Second)
+	out.Success = !tw.Peripheral.Connected() && tw.Phone.Central.Connected() && string(name) == "Hacked"
 	return out, nil
 }
 
@@ -159,13 +159,13 @@ func scenarioC(target string, seed uint64, withIDS bool, inst Instrumentation) (
 	}
 	var hijack *injectable.MasterHijack
 	var herr error
-	err = tw.atk.HijackMaster(injectable.UpdateParams{},
+	err = tw.Atk.HijackMaster(injectable.UpdateParams{},
 		func(h *injectable.MasterHijack, e error) { hijack, herr = h, e })
 	if err != nil {
 		return ScenarioOutcome{}, err
 	}
-	tw.w.RunFor(60 * sim.Second)
-	out := ScenarioOutcome{Target: target, Detail: "master hijack via forged update", IDSAlerts: alertCounts(tw.monitor)}
+	tw.W.RunFor(60 * sim.Second)
+	out := ScenarioOutcome{Target: target, Detail: "master hijack via forged update", IDSAlerts: alertCounts(tw.Monitor)}
 	if herr != nil || hijack == nil {
 		return out, nil
 	}
@@ -175,9 +175,9 @@ func scenarioC(target string, seed uint64, withIDS bool, inst Instrumentation) (
 	// scenario-A feature can be triggered through the hijacked role.
 	handle, value := tw.featureWrite()
 	hijack.Client.Write(handle, value, func(error) {})
-	tw.w.RunFor(10 * sim.Second)
-	out.Success = !hijack.Conn.Closed() && tw.peripheral.Connected() &&
-		!tw.phone.Central.Connected() && tw.featureShown()
+	tw.W.RunFor(10 * sim.Second)
+	out.Success = !hijack.Conn.Closed() && tw.Peripheral.Connected() &&
+		!tw.Phone.Central.Connected() && tw.featureShown()
 	return out, nil
 }
 
@@ -201,14 +201,14 @@ func scenarioD(target string, seed uint64, withIDS bool, inst Instrumentation) (
 	}
 	var session *injectable.MITM
 	var merr error
-	err = tw.atk.ManInTheMiddle(injectable.UpdateParams{},
+	err = tw.Atk.ManInTheMiddle(injectable.UpdateParams{},
 		injectable.MITMConfig{OnMasterToSlave: mutate},
 		func(m *injectable.MITM, e error) { session, merr = m, e })
 	if err != nil {
 		return ScenarioOutcome{}, err
 	}
-	tw.w.RunFor(60 * sim.Second)
-	out := ScenarioOutcome{Target: target, Detail: "MITM with on-the-fly mutation", IDSAlerts: alertCounts(tw.monitor)}
+	tw.W.RunFor(60 * sim.Second)
+	out := ScenarioOutcome{Target: target, Detail: "MITM with on-the-fly mutation", IDSAlerts: alertCounts(tw.Monitor)}
 	if merr != nil || session == nil || session.Closed() {
 		return out, nil
 	}
@@ -217,15 +217,15 @@ func scenarioD(target string, seed uint64, withIDS bool, inst Instrumentation) (
 	// Send traffic carrying the 0xAA marker through the MITM.
 	handle, _ := tw.featureWrite()
 	var gotAtSlave []byte
-	tw.peripheral.GATT.FindCharacteristic(scenarioFeatures[target].char).OnWrite = func(v []byte) {
+	tw.Peripheral.GATT.FindCharacteristic(scenarioFeatures[target].char).OnWrite = func(v []byte) {
 		gotAtSlave = append([]byte(nil), v...)
 	}
-	tw.phone.GATT().WriteCommand(handle, []byte{0xAA, 0xAA})
-	tw.w.RunFor(10 * sim.Second)
+	tw.Phone.GATT().WriteCommand(handle, []byte{0xAA, 0xAA})
+	tw.W.RunFor(10 * sim.Second)
 
 	rewritten := len(gotAtSlave) == 2 && gotAtSlave[0] == 0xBB && gotAtSlave[1] == 0xBB
 	out.Success = mutated && rewritten &&
-		tw.phone.Central.Connected() && tw.peripheral.Connected()
+		tw.Phone.Central.Connected() && tw.Peripheral.Connected()
 	return out, nil
 }
 
@@ -233,8 +233,9 @@ func scenarioD(target string, seed uint64, withIDS bool, inst Instrumentation) (
 // hijack the slave, present a HID keyboard via Service Changed, and
 // inject keystrokes into the connected host. Its central is a HID-host
 // Computer rather than a Smartphone, so it builds its own world, always
-// around a keyfob; target is ignored.
-func scenarioKeystrokes(_ string, seed uint64, withIDS bool, inst Instrumentation) (ScenarioOutcome, error) {
+// around a keyfob; target is ignored. The IDS counts ride on every
+// return, failed hijacks included.
+func scenarioKeystrokes(_ string, seed uint64, withIDS bool, inst Instrumentation) (out ScenarioOutcome, err error) {
 	w := host.NewWorld(host.WorldConfig{Seed: seed, Tracer: inst.Tracer, Obs: inst.Obs})
 	bulbPos, centralPos, attackerPos := trianglePositions()
 	fob := devices.NewKeyfob(w.NewDevice(host.DeviceConfig{Name: "keyfob", Position: bulbPos}))
@@ -252,6 +253,7 @@ func scenarioKeystrokes(_ string, seed uint64, withIDS bool, inst Instrumentatio
 		monitor = ids.New(ids.Config{})
 		w.Medium.AddObserver(monitor)
 	}
+	defer func() { out.IDSAlerts = alertCounts(monitor) }()
 
 	attacker.Sniffer.Start()
 	fob.Peripheral.StartAdvertising()
@@ -261,9 +263,9 @@ func scenarioKeystrokes(_ string, seed uint64, withIDS bool, inst Instrumentatio
 		return ScenarioOutcome{}, fmt.Errorf("experiments: sniffer failed to sync")
 	}
 
-	out := ScenarioOutcome{Target: "keyfob→keyboard", Detail: "HID keystroke injection (§IX)"}
+	out = ScenarioOutcome{Target: "keyfob→keyboard", Detail: "HID keystroke injection (§IX)"}
 	var ki *injectable.KeystrokeInjection
-	err := attacker.InjectKeyboard("Wireless Keyboard", func(k *injectable.KeystrokeInjection, err error) {
+	err = attacker.InjectKeyboard("Wireless Keyboard", func(k *injectable.KeystrokeInjection, err error) {
 		ki = k
 	})
 	if err != nil {
@@ -279,7 +281,6 @@ func scenarioKeystrokes(_ string, seed uint64, withIDS bool, inst Instrumentatio
 	}
 	w.RunFor(20 * sim.Second)
 	out.Success = computer.HIDAttached && computer.Typed.Len() > 0
-	out.IDSAlerts = alertCounts(monitor)
 	return out, nil
 }
 
@@ -303,24 +304,24 @@ func RunEncryptedInjection(seed uint64, inst Instrumentation) (EncryptionOutcome
 		return EncryptionOutcome{}, err
 	}
 	var out EncryptionOutcome
-	if err := tw.phone.Central.Pair(); err != nil {
+	if err := tw.Phone.Central.Pair(); err != nil {
 		return out, err
 	}
-	tw.w.RunFor(5 * sim.Second)
-	out.Paired = tw.phone.Central.Connected() && tw.phone.Central.Conn().Encrypted()
+	tw.W.RunFor(5 * sim.Second)
+	out.Paired = tw.Phone.Central.Connected() && tw.Phone.Central.Conn().Encrypted()
 	if !out.Paired {
 		return out, nil
 	}
-	tw.peripheral.OnDisconnect = func(r link.DisconnectReason) {
+	tw.Peripheral.OnDisconnect = func(r link.DisconnectReason) {
 		if r.Code == pdu.ErrCodeMICFailure {
 			out.ConnectionDropped = true
 		}
 	}
 	handle, value := tw.featureWrite()
-	if err := tw.atk.InjectWrite(handle, value, func(injectable.Report) {}); err != nil {
+	if err := tw.Atk.InjectWrite(handle, value, func(injectable.Report) {}); err != nil {
 		return out, err
 	}
-	tw.w.RunFor(60 * sim.Second)
+	tw.W.RunFor(60 * sim.Second)
 	out.FeatureTriggered = tw.featureShown()
 	return out, nil
 }
@@ -386,8 +387,8 @@ func IDSValidation(opts Options) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				tw.w.RunFor(20 * sim.Second) // clean traffic only
-				return injectionAlerts(alertCounts(tw.monitor)) > 0, nil
+				tw.W.RunFor(20 * sim.Second) // clean traffic only
+				return injectionAlerts(alertCounts(tw.Monitor)) > 0, nil
 			},
 		},
 		{

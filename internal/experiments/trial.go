@@ -238,10 +238,11 @@ type TrialResult struct {
 	IDSAlerts int `json:"IDSAlerts,omitempty"`
 }
 
-// withDefaults returns cfg with every zero knob filled in. All entry
-// points (fresh, warm-fresh and fork-based execution) normalise through
-// here so a configuration means the same trial everywhere.
-func (cfg TrialConfig) withDefaults() TrialConfig {
+// WithDefaults returns cfg with every zero knob filled in. All entry
+// points (fresh, warm-fresh and fork-based execution, and the invariant
+// swarm) normalise through here so a configuration means the same trial
+// everywhere.
+func (cfg TrialConfig) WithDefaults() TrialConfig {
 	if cfg.Interval == 0 {
 		cfg.Interval = 36
 	}
@@ -263,33 +264,36 @@ func (cfg TrialConfig) withDefaults() TrialConfig {
 	return cfg
 }
 
-// trialWorld bundles one trial configuration's world and actors. Exactly
-// one of bulb/fob/watch is non-nil (the victim); peripheral aliases its
-// link-layer peripheral whatever the type.
-type trialWorld struct {
-	w          *host.World
-	bulb       *devices.Lightbulb
-	fob        *devices.Keyfob
-	watch      *devices.Smartwatch
-	peripheral *host.Peripheral
-	phone      *devices.Smartphone
-	atk        *injectable.Attacker
-	monitor    *ids.Monitor
-	extras     []*host.Peripheral
+// TrialWorld bundles one trial configuration's world and actors. Exactly
+// one of bulb/fob/watch is non-nil (the victim); Peripheral aliases its
+// link-layer peripheral whatever the type. The exported handles are what
+// the invariant swarm (internal/simtest) drives and observes.
+type TrialWorld struct {
+	W          *host.World
+	Peripheral *host.Peripheral
+	Phone      *devices.Smartphone
+	Atk        *injectable.Attacker
+	// Monitor is the §VIII IDS, present when the config asks for it.
+	Monitor *ids.Monitor
+
+	bulb   *devices.Lightbulb
+	fob    *devices.Keyfob
+	watch  *devices.Smartwatch
+	extras []*host.Peripheral
 }
 
-// buildTrialWorld constructs the world, devices and attacker for cfg
-// (defaults already applied), with inst's tracer and hub in every layer
-// and its pcap writer on the attacker's sniffer; sweep and fork trials
-// pass only a hub. Every Fig. 8 world of the package is built here except
-// the keystrokes world. The actor wrappers are registered as snapshot
+// BuildTrialWorld constructs the world, devices and attacker for cfg
+// (WithDefaults already applied), with inst's tracer and hub in every
+// layer and its pcap writer on the attacker's sniffer; sweep and fork
+// trials pass only a hub. Every Fig. 8 world of the package, and every
+// world of the invariant swarm, is built here except the keystrokes world. The actor wrappers are registered as snapshot
 // roots so a snapshot taken from this world — and RekeyStreams — reaches
 // every piece of their state. Construction order is fixed (victim,
 // central, attacker, then monitor and extras) and the new-world knobs
 // execute nothing when zero, so historical configurations draw the same
 // RNG streams they always did. Device streams are keyed by name, so
 // TargetName and CentralName are part of a world's identity.
-func buildTrialWorld(cfg TrialConfig, inst Instrumentation) (*trialWorld, error) {
+func BuildTrialWorld(cfg TrialConfig, inst Instrumentation) (*TrialWorld, error) {
 	w := host.NewWorld(host.WorldConfig{
 		Seed: cfg.Seed,
 		Medium: medium.Config{
@@ -300,7 +304,7 @@ func buildTrialWorld(cfg TrialConfig, inst Instrumentation) (*trialWorld, error)
 		Obs:    inst.Obs,
 		Arena:  cfg.Arena,
 	})
-	tw := &trialWorld{w: w}
+	tw := &TrialWorld{W: w}
 	targetName := cfg.TargetName
 	if targetName == "" {
 		targetName = "bulb"
@@ -314,13 +318,13 @@ func buildTrialWorld(cfg TrialConfig, inst Instrumentation) (*trialWorld, error)
 	switch cfg.Target {
 	case "", "lightbulb":
 		tw.bulb = devices.NewLightbulb(targetDev)
-		tw.peripheral, victimRoot = tw.bulb.Peripheral, tw.bulb
+		tw.Peripheral, victimRoot = tw.bulb.Peripheral, tw.bulb
 	case "keyfob":
 		tw.fob = devices.NewKeyfob(targetDev)
-		tw.peripheral, victimRoot = tw.fob.Peripheral, tw.fob
+		tw.Peripheral, victimRoot = tw.fob.Peripheral, tw.fob
 	case "smartwatch":
 		tw.watch = devices.NewSmartwatch(targetDev)
-		tw.peripheral, victimRoot = tw.watch.Peripheral, tw.watch
+		tw.Peripheral, victimRoot = tw.watch.Peripheral, tw.watch
 	default:
 		return nil, fmt.Errorf("experiments: unknown target %q", cfg.Target)
 	}
@@ -352,7 +356,7 @@ func buildTrialWorld(cfg TrialConfig, inst Instrumentation) (*trialWorld, error)
 	if cfg.ActivityMS > 0 {
 		activity = sim.Duration(cfg.ActivityMS) * sim.Millisecond
 	}
-	tw.phone = devices.NewSmartphone(w.NewDevice(centralCfg), devices.SmartphoneConfig{
+	tw.Phone = devices.NewSmartphone(w.NewDevice(centralCfg), devices.SmartphoneConfig{
 		ConnParams: link.ConnParams{
 			Interval: cfg.Interval, Latency: cfg.Latency, Hop: cfg.Hop,
 			CSA2: cfg.CSA2, ChannelMap: chMap,
@@ -363,17 +367,17 @@ func buildTrialWorld(cfg TrialConfig, inst Instrumentation) (*trialWorld, error)
 		Name: "attacker", Position: cfg.AttackerPos,
 		ClockPPM: 20, ClockJitter: 500 * sim.Nanosecond,
 	})
-	tw.atk = injectable.NewAttacker(attacker.Stack, cfg.Injector)
+	tw.Atk = injectable.NewAttacker(attacker.Stack, cfg.Injector)
 	if inst.Pcap != nil {
-		capturePcap(tw.atk.Sniffer, inst.Pcap)
+		capturePcap(tw.Atk.Sniffer, inst.Pcap)
 	}
-	w.AddSnapshotRoot(victimRoot, tw.phone, tw.atk)
+	w.AddSnapshotRoot(victimRoot, tw.Phone, tw.Atk)
 	if cfg.IDS {
-		tw.monitor = ids.New(ids.Config{})
-		w.Medium.AddObserver(tw.monitor)
+		tw.Monitor = ids.New(ids.Config{})
+		w.Medium.AddObserver(tw.Monitor)
 		// The monitor's alert history must fork with the world, or forked
 		// trials would inherit alerts from earlier forks.
-		w.AddSnapshotRoot(tw.monitor)
+		w.AddSnapshotRoot(tw.Monitor)
 	}
 	for i, ex := range cfg.Extras {
 		name := ex.Name
@@ -402,27 +406,27 @@ func buildTrialWorld(cfg TrialConfig, inst Instrumentation) (*trialWorld, error)
 	return tw, nil
 }
 
-// connect is the one-shot handshake: the sniffer listens, the victim and
+// Connect is the one-shot handshake: the sniffer listens, the victim and
 // any bystanders advertise, the central initiates, and 3 s of virtual
 // time pass. Whether the link formed and the sniffer caught it is the
 // caller's to check (linkErr).
-func (tw *trialWorld) connect(ctx context.Context) error {
-	tw.atk.Sniffer.Start()
-	tw.peripheral.StartAdvertising()
+func (tw *TrialWorld) Connect(ctx context.Context) error {
+	tw.Atk.Sniffer.Start()
+	tw.Peripheral.StartAdvertising()
 	for _, p := range tw.extras {
 		p.StartAdvertising()
 	}
-	tw.phone.Connect(tw.peripheral.Device.Address())
-	return runFor(tw.w, 3*sim.Second, ctx, nil)
+	tw.Phone.Connect(tw.Peripheral.Device.Address())
+	return runFor(tw.W, 3*sim.Second, ctx, nil)
 }
 
 // linkErr reports why a handshake left the world unfit to attack: the
 // central holds no connection, or the sniffer is not following it.
-func (tw *trialWorld) linkErr() error {
-	if !tw.phone.Central.Connected() {
+func (tw *TrialWorld) linkErr() error {
+	if !tw.Phone.Central.Connected() {
 		return errors.New("experiments: connection failed")
 	}
-	if !tw.atk.Sniffer.Following() {
+	if !tw.Atk.Sniffer.Following() {
 		return errors.New("experiments: sniffer failed to sync")
 	}
 	return nil
@@ -431,8 +435,8 @@ func (tw *trialWorld) linkErr() error {
 // warm advances through connection establishment and attacker
 // synchronisation — everything that happens before the injection run and
 // is identical across the trials of one configuration.
-func (tw *trialWorld) warm(cfg TrialConfig) error {
-	if err := tw.connect(cfg.Ctx); err != nil {
+func (tw *TrialWorld) warm(cfg TrialConfig) error {
+	if err := tw.Connect(cfg.Ctx); err != nil {
 		return err
 	}
 	// In a crowded cell, bystander advertisements can collide with the
@@ -446,17 +450,17 @@ func (tw *trialWorld) warm(cfg TrialConfig) error {
 		if tw.linkErr() == nil {
 			return nil
 		}
-		if c := tw.phone.Central.Conn(); c != nil && !c.Closed() {
+		if c := tw.Phone.Central.Conn(); c != nil && !c.Closed() {
 			c.Terminate()
-			if err := runFor(tw.w, 500*sim.Millisecond, cfg.Ctx, nil); err != nil {
+			if err := runFor(tw.W, 500*sim.Millisecond, cfg.Ctx, nil); err != nil {
 				return err
 			}
 		}
-		tw.atk.Sniffer.Stop()
-		tw.atk.Sniffer.Start()
-		tw.peripheral.StartAdvertising()
-		tw.phone.Connect(tw.peripheral.Device.Address())
-		if err := runFor(tw.w, 3*sim.Second, cfg.Ctx, nil); err != nil {
+		tw.Atk.Sniffer.Stop()
+		tw.Atk.Sniffer.Start()
+		tw.Peripheral.StartAdvertising()
+		tw.Phone.Connect(tw.Peripheral.Device.Address())
+		if err := runFor(tw.W, 3*sim.Second, cfg.Ctx, nil); err != nil {
 			return err
 		}
 	}
@@ -469,10 +473,10 @@ func (tw *trialWorld) warm(cfg TrialConfig) error {
 // effectProbe arms the ground-truth observer for cfg's payload and
 // returns a getter reporting whether the victim visibly executed the
 // injected command (disconnect, for the terminate payload).
-func (tw *trialWorld) effectProbe(cfg TrialConfig) func() bool {
+func (tw *TrialWorld) effectProbe(cfg TrialConfig) func() bool {
 	if cfg.Payload == PayloadTerminate {
 		fired := false
-		tw.peripheral.OnDisconnect = func(link.DisconnectReason) { fired = true }
+		tw.Peripheral.OnDisconnect = func(link.DisconnectReason) { fired = true }
 		return func() bool { return fired }
 	}
 	switch {
@@ -489,7 +493,7 @@ func (tw *trialWorld) effectProbe(cfg TrialConfig) func() bool {
 
 // featureWrite returns the victim type's feature-trigger handle and value
 // (the PayloadFeature frame).
-func (tw *trialWorld) featureWrite() (uint16, []byte) {
+func (tw *TrialWorld) featureWrite() (uint16, []byte) {
 	switch {
 	case tw.fob != nil:
 		return tw.fob.AlertHandle(), devices.RingCommand()
@@ -503,7 +507,7 @@ func (tw *trialWorld) featureWrite() (uint16, []byte) {
 // featureShown reports whether the victim visibly executed its
 // feature-trigger write: the bulb is on, the keyfob rings, or the watch
 // shows the forged SMS.
-func (tw *trialWorld) featureShown() bool {
+func (tw *TrialWorld) featureShown() bool {
 	switch {
 	case tw.fob != nil:
 		return tw.fob.Ringing
@@ -514,8 +518,8 @@ func (tw *trialWorld) featureShown() bool {
 	}
 }
 
-// frame builds the injected PDU for cfg against this world's victim.
-func (tw *trialWorld) frame(cfg TrialConfig) (pdu.DataPDU, error) {
+// Frame builds the injected PDU for cfg against this world's victim.
+func (tw *TrialWorld) Frame(cfg TrialConfig) (pdu.DataPDU, error) {
 	if cfg.Payload == PayloadFeature {
 		h, v := tw.featureWrite()
 		return injectable.ForgeATTWriteCommand(h, v), nil
@@ -533,19 +537,19 @@ func (tw *trialWorld) frame(cfg TrialConfig) (pdu.DataPDU, error) {
 // launchAttack fires the goal now, or schedules it cfg.GoalDelay into the
 // run. The returned getter surfaces a deferred launch error after the
 // simulation span completes.
-func (tw *trialWorld) launchAttack(cfg TrialConfig, fire func() error) (deferred func() error, err error) {
+func (tw *TrialWorld) launchAttack(cfg TrialConfig, fire func() error) (deferred func() error, err error) {
 	if cfg.GoalDelay <= 0 {
 		return func() error { return nil }, fire()
 	}
 	var launchErr error
-	tw.w.Sched.After(cfg.GoalDelay, "attack:launch", func() { launchErr = fire() })
+	tw.W.Sched.After(cfg.GoalDelay, "attack:launch", func() { launchErr = fire() })
 	return func() error { return launchErr }, nil
 }
 
 // finish stamps goal-independent observations onto a result.
-func (tw *trialWorld) finish(res TrialResult) TrialResult {
-	if tw.monitor != nil {
-		res.IDSAlerts = len(tw.monitor.Alerts())
+func (tw *TrialWorld) finish(res TrialResult) TrialResult {
+	if tw.Monitor != nil {
+		res.IDSAlerts = len(tw.Monitor.Alerts())
 	}
 	return res
 }
@@ -553,12 +557,12 @@ func (tw *trialWorld) finish(res TrialResult) TrialResult {
 // attack performs one attack run against the warmed world, dispatching on
 // the configured goal. The historical single-frame injection is the ""
 // (inject) goal.
-func (tw *trialWorld) attack(cfg TrialConfig) (TrialResult, error) {
+func (tw *TrialWorld) attack(cfg TrialConfig) (TrialResult, error) {
 	switch cfg.Goal {
 	case "", GoalInject:
 		return tw.attackInject(cfg)
 	case GoalNone:
-		if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx, nil); err != nil {
+		if err := runFor(tw.W, cfg.SimBudget, cfg.Ctx, nil); err != nil {
 			return TrialResult{}, err
 		}
 		// Baseline world: nothing injected, so the heuristic trivially
@@ -579,15 +583,15 @@ func (tw *trialWorld) attack(cfg TrialConfig) (TrialResult, error) {
 
 // attackInject is the paper's §VI-A single-frame injection run: inject,
 // then check the heuristic verdict against device-model ground truth.
-func (tw *trialWorld) attackInject(cfg TrialConfig) (TrialResult, error) {
+func (tw *TrialWorld) attackInject(cfg TrialConfig) (TrialResult, error) {
 	effect := tw.effectProbe(cfg)
-	frame, err := tw.frame(cfg)
+	frame, err := tw.Frame(cfg)
 	if err != nil {
 		return TrialResult{}, err
 	}
 	var report *injectable.Report
 	deferred, err := tw.launchAttack(cfg, func() error {
-		return tw.atk.Injector.Inject(frame, func(r injectable.Report) { report = &r })
+		return tw.Atk.Injector.Inject(frame, func(r injectable.Report) { report = &r })
 	})
 	if err != nil {
 		return TrialResult{}, err
@@ -598,10 +602,10 @@ func (tw *trialWorld) attackInject(cfg TrialConfig) (TrialResult, error) {
 	// whose effect has not shown could still see it late, and an IDS
 	// world's alert count covers the whole budget, so those run it out.
 	var decided func() bool
-	if tw.monitor == nil {
+	if tw.Monitor == nil {
 		decided = func() bool { return report != nil && effect() }
 	}
-	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx, decided); err != nil {
+	if err := runFor(tw.W, cfg.SimBudget, cfg.Ctx, decided); err != nil {
 		return TrialResult{}, err
 	}
 	if err := deferred(); err != nil {
@@ -622,11 +626,11 @@ func (tw *trialWorld) attackInject(cfg TrialConfig) (TrialResult, error) {
 // Success means the impostor holds a live connection to the legitimate
 // master at the end of the budget; the observable effect is the victim's
 // expulsion.
-func (tw *trialWorld) attackHijackSlave(cfg TrialConfig) (TrialResult, error) {
+func (tw *TrialWorld) attackHijackSlave(cfg TrialConfig) (TrialResult, error) {
 	var done bool
 	var report *injectable.Report
 	deferred, err := tw.launchAttack(cfg, func() error {
-		return tw.atk.HijackSlave(hijackServer(), func(h *injectable.SlaveHijack, err error) {
+		return tw.Atk.HijackSlave(HijackServer(), func(h *injectable.SlaveHijack, err error) {
 			done = true
 			if err == nil && h != nil {
 				report = &h.Report
@@ -636,7 +640,7 @@ func (tw *trialWorld) attackHijackSlave(cfg TrialConfig) (TrialResult, error) {
 	if err != nil {
 		return TrialResult{}, err
 	}
-	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx, nil); err != nil {
+	if err := runFor(tw.W, cfg.SimBudget, cfg.Ctx, nil); err != nil {
 		return TrialResult{}, err
 	}
 	if err := deferred(); err != nil {
@@ -645,9 +649,9 @@ func (tw *trialWorld) attackHijackSlave(cfg TrialConfig) (TrialResult, error) {
 	if !done {
 		return TrialResult{}, fmt.Errorf("experiments: slave hijack did not settle in %v", cfg.SimBudget)
 	}
-	hj := tw.atk.SlaveHijack
-	success := hj != nil && !hj.Conn.Closed() && tw.phone.Central.Connected()
-	expelled := tw.peripheral.Conn() == nil || tw.peripheral.Conn().Closed()
+	hj := tw.Atk.SlaveHijack
+	success := hj != nil && !hj.Conn.Closed() && tw.Phone.Central.Connected()
+	expelled := tw.Peripheral.Conn() == nil || tw.Peripheral.Conn().Closed()
 	return tw.finish(TrialResult{
 		Success:         success,
 		Attempts:        attemptCount(report),
@@ -659,11 +663,11 @@ func (tw *trialWorld) attackHijackSlave(cfg TrialConfig) (TrialResult, error) {
 // attackHijackMaster splits the victim onto a forged schedule and adopts
 // the master role (§VI-C). Success means the impostor master holds the
 // victim; the observable effect is the legitimate master losing it.
-func (tw *trialWorld) attackHijackMaster(cfg TrialConfig) (TrialResult, error) {
+func (tw *TrialWorld) attackHijackMaster(cfg TrialConfig) (TrialResult, error) {
 	var done bool
 	var report *injectable.Report
 	deferred, err := tw.launchAttack(cfg, func() error {
-		return tw.atk.HijackMaster(cfg.Update, func(h *injectable.MasterHijack, err error) {
+		return tw.Atk.HijackMaster(cfg.Update, func(h *injectable.MasterHijack, err error) {
 			done = true
 			if err == nil && h != nil {
 				report = &h.Report
@@ -673,7 +677,7 @@ func (tw *trialWorld) attackHijackMaster(cfg TrialConfig) (TrialResult, error) {
 	if err != nil {
 		return TrialResult{}, err
 	}
-	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx, nil); err != nil {
+	if err := runFor(tw.W, cfg.SimBudget, cfg.Ctx, nil); err != nil {
 		return TrialResult{}, err
 	}
 	if err := deferred(); err != nil {
@@ -682,9 +686,9 @@ func (tw *trialWorld) attackHijackMaster(cfg TrialConfig) (TrialResult, error) {
 	if !done {
 		return TrialResult{}, fmt.Errorf("experiments: master hijack did not settle in %v", cfg.SimBudget)
 	}
-	hj := tw.atk.MasterHijack
+	hj := tw.Atk.MasterHijack
 	success := hj != nil && !hj.Conn.Closed()
-	lostSlave := !tw.phone.Central.Connected()
+	lostSlave := !tw.Phone.Central.Connected()
 	return tw.finish(TrialResult{
 		Success:         success,
 		Attempts:        attemptCount(report),
@@ -697,11 +701,11 @@ func (tw *trialWorld) attackHijackMaster(cfg TrialConfig) (TrialResult, error) {
 // session is still alive at the end of the budget; the observable effect
 // is the legitimate master still holding (what it believes to be) its
 // device.
-func (tw *trialWorld) attackMITM(cfg TrialConfig) (TrialResult, error) {
+func (tw *TrialWorld) attackMITM(cfg TrialConfig) (TrialResult, error) {
 	var done bool
 	var session *injectable.MITM
 	deferred, err := tw.launchAttack(cfg, func() error {
-		return tw.atk.ManInTheMiddle(cfg.Update, injectable.MITMConfig{}, func(m *injectable.MITM, err error) {
+		return tw.Atk.ManInTheMiddle(cfg.Update, injectable.MITMConfig{}, func(m *injectable.MITM, err error) {
 			done = true
 			if err == nil {
 				session = m
@@ -711,7 +715,7 @@ func (tw *trialWorld) attackMITM(cfg TrialConfig) (TrialResult, error) {
 	if err != nil {
 		return TrialResult{}, err
 	}
-	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx, nil); err != nil {
+	if err := runFor(tw.W, cfg.SimBudget, cfg.Ctx, nil); err != nil {
 		return TrialResult{}, err
 	}
 	if err := deferred(); err != nil {
@@ -721,7 +725,7 @@ func (tw *trialWorld) attackMITM(cfg TrialConfig) (TrialResult, error) {
 		return TrialResult{}, fmt.Errorf("experiments: mitm did not settle in %v", cfg.SimBudget)
 	}
 	success := session != nil && !session.Closed()
-	relayed := success && tw.phone.Central.Connected()
+	relayed := success && tw.Phone.Central.Connected()
 	return tw.finish(TrialResult{
 		Success:         success,
 		EffectObserved:  relayed,
@@ -733,15 +737,15 @@ func (tw *trialWorld) attackMITM(cfg TrialConfig) (TrialResult, error) {
 // victim adopts the new schedule at the instant while the legitimate
 // master keeps the old one, silently breaking the connection. The
 // observable effect is the legitimate master losing its slave.
-func (tw *trialWorld) attackUpdate(cfg TrialConfig) (TrialResult, error) {
+func (tw *TrialWorld) attackUpdate(cfg TrialConfig) (TrialResult, error) {
 	var report *injectable.Report
 	deferred, err := tw.launchAttack(cfg, func() error {
-		return tw.atk.InjectConnectionUpdate(cfg.Update, func(r injectable.Report) { report = &r })
+		return tw.Atk.InjectConnectionUpdate(cfg.Update, func(r injectable.Report) { report = &r })
 	})
 	if err != nil {
 		return TrialResult{}, err
 	}
-	if err := runFor(tw.w, cfg.SimBudget, cfg.Ctx, nil); err != nil {
+	if err := runFor(tw.W, cfg.SimBudget, cfg.Ctx, nil); err != nil {
 		return TrialResult{}, err
 	}
 	if err := deferred(); err != nil {
@@ -750,7 +754,7 @@ func (tw *trialWorld) attackUpdate(cfg TrialConfig) (TrialResult, error) {
 	if report == nil {
 		return TrialResult{}, fmt.Errorf("experiments: update injection did not settle in %v", cfg.SimBudget)
 	}
-	lostSlave := !tw.phone.Central.Connected()
+	lostSlave := !tw.Phone.Central.Connected()
 	return tw.finish(TrialResult{
 		Success:         report.Success,
 		Attempts:        report.AttemptCount(),
@@ -768,8 +772,8 @@ func attemptCount(r *injectable.Report) int {
 	return r.AttemptCount()
 }
 
-// hijackServer is the minimal GATT profile an impostor slave serves.
-func hijackServer() *gatt.Server {
+// HijackServer is the minimal GATT profile an impostor slave serves.
+func HijackServer() *gatt.Server {
 	srv := gatt.NewServer(func([]byte) {})
 	srv.AddService(&gatt.Service{
 		UUID: att.UUID16(0x1800),
@@ -783,8 +787,8 @@ func hijackServer() *gatt.Server {
 // RunTrial builds a fresh world, establishes the connection, synchronises
 // the attacker and performs one attack run.
 func RunTrial(cfg TrialConfig) (TrialResult, error) {
-	cfg = cfg.withDefaults()
-	tw, err := buildTrialWorld(cfg, Instrumentation{Obs: cfg.Obs})
+	cfg = cfg.WithDefaults()
+	tw, err := BuildTrialWorld(cfg, Instrumentation{Obs: cfg.Obs})
 	if err != nil {
 		return TrialResult{}, err
 	}
@@ -828,8 +832,9 @@ func runFor(w *host.World, d sim.Duration, ctx context.Context, done func() bool
 	return nil
 }
 
-// RunSeries runs n trials with distinct seeds and accumulates attempts of
-// successful runs (failures count as MaxAttempts, flagged in the result).
+// SeriesResult accumulates one point's trials: attempts of successful
+// runs (failures count as MaxAttempts, flagged in Failures) and the eq. 7
+// heuristic tally.
 type SeriesResult struct {
 	Stats     Stats
 	Failures  int
@@ -839,21 +844,4 @@ type SeriesResult struct {
 // HeuristicTally validates eq. 7 against ground truth across a series.
 type HeuristicTally struct {
 	Agree, Disagree int
-}
-
-// RunSeries runs the trial n times over seeds seedBase..seedBase+n-1,
-// strictly in order — the campaign engine's single-worker degenerate case.
-// Sweeps that want the worker pool go through Options.Parallel instead.
-func RunSeries(cfg TrialConfig, n int, seedBase uint64, progress func(i int)) (SeriesResult, error) {
-	opts := Options{TrialsPerPoint: n, SeedBase: seedBase, Parallel: 1}
-	if progress != nil {
-		opts.Progress = func(_ string, trial int) { progress(trial) }
-	}
-	points, err := runSweep(opts, "series", []SweepPoint{{
-		Label: "series", SeedBase: seedBase, Cfg: cfg,
-	}})
-	if err != nil {
-		return SeriesResult{}, err
-	}
-	return points[0].Series, nil
 }

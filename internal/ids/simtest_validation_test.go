@@ -28,11 +28,11 @@ func validationRuns(t *testing.T) int {
 func TestZeroFalsePositivesOnBenignWorlds(t *testing.T) {
 	runs, connected := validationRuns(t), 0
 	for seed := uint64(7000); seed < 7000+uint64(runs); seed++ {
-		p := simtest.Generate(seed)
-		p.Scenario = "none"
-		p.IDS = true
-		p.Jammer = false // jamming legitimately alerts; FPR is about injection-class alerts
-		r, err := simtest.RunWorld(seed, p)
+		w := simtest.Generate(seed)
+		w.Spec.Attacker.Goal, w.Spec.Attacker.Payload = "none", ""
+		w.Spec.Defense.IDS = true
+		w.Jammer = false // jamming legitimately alerts; FPR is about injection-class alerts
+		r, err := simtest.RunWorld(seed, w)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -42,7 +42,7 @@ func TestZeroFalsePositivesOnBenignWorlds(t *testing.T) {
 		connected++
 		if n := r.InjectionAlerts(); n > 0 {
 			t.Errorf("seed %d: %d injection-class alert(s) on benign traffic: %v (%v)",
-				seed, n, r.IDSAlerts, r.Params)
+				seed, n, r.IDSAlerts, r.World)
 		}
 	}
 	if connected < runs/2 {
@@ -57,10 +57,10 @@ func TestZeroFalsePositivesOnBenignWorlds(t *testing.T) {
 func TestFullDetectionOnInjectedWorlds(t *testing.T) {
 	runs, successes := validationRuns(t), 0
 	for seed := uint64(8000); seed < 8000+uint64(runs); seed++ {
-		p := simtest.Generate(seed)
-		p.Scenario = "inject"
-		p.IDS = true
-		r, err := simtest.RunWorld(seed, p)
+		w := simtest.Generate(seed)
+		w.Spec.Attacker.Goal, w.Spec.Attacker.Payload = "inject", "feature"
+		w.Spec.Defense.IDS = true
+		r, err := simtest.RunWorld(seed, w)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -69,8 +69,8 @@ func TestFullDetectionOnInjectedWorlds(t *testing.T) {
 		}
 		successes++
 		if r.InjectionAlerts() == 0 {
-			t.Errorf("seed %d: successful injection went undetected (alerts %v, params %v)",
-				seed, r.IDSAlerts, r.Params)
+			t.Errorf("seed %d: successful injection went undetected (alerts %v, world %v)",
+				seed, r.IDSAlerts, r.World)
 		}
 	}
 	if successes < runs/3 {

@@ -19,13 +19,14 @@ type Attacker struct {
 	Sniffer  *Sniffer
 	Injector *Injector
 
-	// SlaveHijack / MasterHijack retain the most recent successful role
-	// adoption. The completion callback alone is not enough: an adopted
-	// connection referenced only by scheduler closures is invisible to
+	// SlaveHijack / MasterHijack / MITM retain the most recent successful
+	// role adoption or relay session. The completion callback alone is not
+	// enough: state referenced only by scheduler closures is invisible to
 	// world snapshots, and a forked world would replay it with stale
 	// channel-selection state.
 	SlaveHijack  *SlaveHijack
 	MasterHijack *MasterHijack
+	MITM         *MITM
 }
 
 // NewAttacker builds the attack tooling on a stack.

@@ -433,6 +433,7 @@ func (a *Attacker) mitmAtInstant(forged pdu.ConnectionUpdateInd, r Report, cfg M
 			return
 		}
 		m.Report = r
+		a.MITM = m
 		m.start()
 		done(m, nil)
 	}

@@ -93,7 +93,7 @@ func points(s Spec, opts experiments.Options) (string, []experiments.SweepPoint,
 	}
 	pts := make([]experiments.SweepPoint, len(variants))
 	for i, v := range variants {
-		cfg, err := trialConfig(v.Spec)
+		cfg, err := TrialConfig(v.Spec)
 		if err != nil {
 			return "", nil, err
 		}
@@ -110,11 +110,12 @@ func points(s Spec, opts experiments.Options) (string, []experiments.SweepPoint,
 	return name, sliced, nil
 }
 
-// trialConfig lowers one expanded variant onto the experiments trial
+// TrialConfig lowers one expanded variant onto the experiments trial
 // knobs. Zero spec fields land on zero TrialConfig fields, whose defaults
 // are exactly the documented spec defaults — which is what makes a DSL
-// transcription of a catalog entry run the catalog's worlds.
-func trialConfig(s Spec) (experiments.TrialConfig, error) {
+// transcription of a catalog entry run the catalog's worlds, and what
+// lets the invariant swarm check the worlds admission admits.
+func TrialConfig(s Spec) (experiments.TrialConfig, error) {
 	var cfg experiments.TrialConfig
 	var central *Device
 	var periphs []Device

@@ -598,37 +598,6 @@ func TestHealthMetricsExperiments(t *testing.T) {
 	}
 }
 
-// TestLoadgenSelf drives the loadgen harness against an in-process
-// server: all jobs succeed and the dedup split is consistent.
-func TestLoadgenSelf(t *testing.T) {
-	s := NewServer(Config{Registry: stubRegistry(nil, nil, nil), Hub: obs.NewHub()})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	specs := []JobSpec{
-		{Experiment: "stub", Trials: 5, SeedBase: 700},
-		{Experiment: "stub", Trials: 5, SeedBase: 701},
-	}
-	rep, err := Loadgen(context.Background(), &Client{Base: ts.URL},
-		LoadgenConfig{Clients: 4, Jobs: 20, Specs: specs}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("loadgen errors = %d:\n%s", rep.Errors, rep.Table())
-	}
-	if rep.Hits+rep.Joins+rep.Misses != 20 {
-		t.Errorf("dispositions sum to %d, want 20", rep.Hits+rep.Joins+rep.Misses)
-	}
-	if rep.Misses < 2 {
-		t.Errorf("misses = %d, want at least one per distinct spec", rep.Misses)
-	}
-	if !strings.Contains(rep.Table(), "cache hit ratio") {
-		t.Error("table missing cache hit ratio row")
-	}
-}
-
 // TestJobTableBounded: the job table forgets a completed job when the
 // cache evicts its stream, and keeps only the newest CacheEntries jobs
 // whose streams were never cached, so daemon memory stays bounded however

@@ -17,8 +17,8 @@ import (
 
 // ForkReport is the outcome of one fork-equivalence check.
 type ForkReport struct {
-	Seed   uint64
-	Params Params
+	Seed  uint64
+	World World
 	// SnapAt is the absolute simulation time the snapshot was taken —
 	// drawn from the seed's dedicated RNG stream, so each seed probes a
 	// different instant of its run window.
@@ -41,39 +41,35 @@ func (r ForkReport) Failed() bool { return !r.Match || r.Result.Failed() }
 // ForkCheck builds the world, brings the connection up, launches the
 // attack, then snapshots at a seed-derived instant of the run window, runs
 // to the horizon, forks back and replays the same span.
-func ForkCheck(seed uint64, p Params) (ForkReport, error) {
-	lw, err := buildWorld(seed, p)
+func ForkCheck(seed uint64, w World) (ForkReport, error) {
+	lw, err := bringUp(seed, w)
 	if err != nil {
 		return ForkReport{}, err
 	}
-	lw.start(p)
-	if err := lw.attack(p); err != nil {
-		return ForkReport{}, err
-	}
+	world, total := lw.tw.W, lw.cfg.SimBudget
+	ms := max(1, int(total/sim.Millisecond))
+	pre := sim.Duration(sim.NewRNG(seed).Child("simtest-fork").Intn(ms)) * sim.Millisecond
+	world.RunFor(pre)
+	snap := world.Snapshot()
+	rep := ForkReport{Seed: seed, World: w, SnapAt: world.Now()}
 
-	total := sim.Duration(p.RunSeconds) * sim.Second
-	pre := sim.Duration(sim.NewRNG(seed).Child("simtest-fork").Intn(p.RunSeconds*1000)) * sim.Millisecond
-	lw.w.RunFor(pre)
-	snap := lw.w.Snapshot()
-	rep := ForkReport{Seed: seed, Params: p, SnapAt: lw.w.Now()}
-
-	lw.w.RunFor(total - pre)
+	world.RunFor(total - pre)
 	rep.Continued = lw.collect().Fingerprint()
 
-	lw.w.Fork(snap)
-	lw.w.RunFor(total - pre)
+	world.Fork(snap)
+	world.RunFor(total - pre)
 	rep.Result = lw.collect()
 	rep.Forked = rep.Result.Fingerprint()
 	rep.Match = rep.Continued == rep.Forked
-	return rep, nil
+	return rep, lw.err
 }
 
 // RunWorldFork runs one world through ForkCheck and folds any divergence
 // into the Result as a synthetic "fork-divergence" violation, so the
 // swarm and shrink machinery treat snapshot bugs exactly like invariant
 // breaches.
-func RunWorldFork(seed uint64, p Params) (Result, error) {
-	rep, err := ForkCheck(seed, p)
+func RunWorldFork(seed uint64, w World) (Result, error) {
+	rep, err := ForkCheck(seed, w)
 	if err != nil {
 		return Result{}, err
 	}

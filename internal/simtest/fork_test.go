@@ -5,14 +5,15 @@ import (
 	"testing"
 )
 
-// TestForkCheckScenarios forks one world of every attacker scenario and
-// requires the replayed timeline to match the continued one exactly.
+// goals lists every attacker goal admission accepts.
+var goals = []string{"none", "inject", "hijack-slave", "hijack-master", "mitm", "update"}
+
+// TestForkCheckScenarios forks the default world under every attacker goal
+// and requires the replayed timeline to match the continued one exactly.
 func TestForkCheckScenarios(t *testing.T) {
-	for _, scenario := range Scenarios() {
-		t.Run(scenario, func(t *testing.T) {
-			p := DefaultParams()
-			p.Scenario = scenario
-			rep, err := ForkCheck(11, p)
+	for _, goal := range goals {
+		t.Run(goal, func(t *testing.T) {
+			rep, err := ForkCheck(11, withGoal(defaultWorld(), goal))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,9 +33,7 @@ func TestForkCheckScenarios(t *testing.T) {
 // scheduler closures, so a fork replayed it with a stale channel cursor
 // and starved the slave).
 func TestForkCheckHijackMasterSeed35(t *testing.T) {
-	p := DefaultParams()
-	p.Scenario = "hijack-master"
-	rep, err := ForkCheck(35, p)
+	rep, err := ForkCheck(35, withGoal(defaultWorld(), "hijack-master"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,23 +45,56 @@ func TestForkCheckHijackMasterSeed35(t *testing.T) {
 	}
 }
 
-// TestForkSwarmGeneratedWorlds runs generated worlds (jammers, bystanders,
-// IDS, every scenario) through the fork-equivalence swarm.
+// TestForkSwarmGeneratedWorlds runs the CI fork swarm's generated worlds
+// (jammers, bystanders, IDS, four goals) through the fork-equivalence
+// check, each against its pinned fingerprint.
 func TestForkSwarmGeneratedWorlds(t *testing.T) {
-	worlds := 40
+	worlds := 200
 	if testing.Short() {
 		worlds = 12
 	}
-	sum, err := Swarm(SwarmConfig{SeedBase: 1, Worlds: worlds, Fork: true})
+	sum, err := Swarm(SwarmConfig{
+		SeedBase: swarmSeedBase, Worlds: worlds, Fork: true,
+		OnResult: fingerprintChecker(t, "fork"),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reportSwarm(t, sum, worlds)
+}
+
+// TestForkEveryGoal runs generated worlds under every admitted goal —
+// mitm and update included, which the generator never draws — through the
+// fork-equivalence check.
+func TestForkEveryGoal(t *testing.T) {
+	worlds := 50
+	if testing.Short() {
+		worlds = 8
+	}
+	for _, goal := range goals {
+		t.Run(goal, func(t *testing.T) {
+			sum, err := Swarm(SwarmConfig{
+				SeedBase: swarmSeedBase, Worlds: worlds, Fork: true,
+				Mutate: func(w *World) { *w = withGoal(*w, goal) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reportSwarm(t, sum, worlds)
+		})
+	}
+}
+
+// reportSwarm fails the test on every world error or failure of a fork
+// swarm, and on a swarm whose worlds mostly never connected.
+func reportSwarm(t *testing.T, sum SwarmSummary, worlds int) {
+	t.Helper()
 	for _, e := range sum.Errors {
 		t.Errorf("world error: %v", e)
 	}
 	for _, f := range sum.Failures {
 		t.Errorf("seed %d (%v): first violation: %v\nrepro: go run ./cmd/simtest -seed %d -fork",
-			f.Seed, f.Params, f.Violations[0], f.Seed)
+			f.Seed, f.World, f.Violations[0], f.Seed)
 	}
 	if sum.Connected < worlds/2 {
 		t.Fatalf("only %d/%d worlds connected", sum.Connected, worlds)

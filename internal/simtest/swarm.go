@@ -20,9 +20,9 @@ type SwarmConfig struct {
 	// instant, run to its horizon, rolled back and replayed, and any
 	// timeline divergence is reported as a "fork-divergence" violation.
 	Fork bool
-	// Mutate, when set, adjusts each generated parameter vector before the
-	// world runs (used for fault injection and targeted swarms).
-	Mutate func(*Params)
+	// Mutate, when set, adjusts each generated world before it runs (used
+	// for fault injection and targeted swarms).
+	Mutate func(*World)
 	// OnResult streams results in seed order as worlds complete.
 	OnResult func(Result)
 }
@@ -31,8 +31,8 @@ type SwarmConfig struct {
 type SwarmSummary struct {
 	Worlds    int
 	Connected int
-	// ByScenario counts worlds per attacker scenario.
-	ByScenario map[string]int
+	// ByGoal counts worlds per attacker goal.
+	ByGoal map[string]int
 	// Failures holds every failing world's result, in seed order.
 	Failures []Result
 	// Errors holds construction/panic failures (distinct from invariant
@@ -50,7 +50,7 @@ func Swarm(cfg SwarmConfig) (SwarmSummary, error) {
 	if cfg.Worlds <= 0 {
 		return SwarmSummary{}, fmt.Errorf("simtest: swarm needs at least one world")
 	}
-	sum := SwarmSummary{Worlds: cfg.Worlds, ByScenario: make(map[string]int)}
+	sum := SwarmSummary{Worlds: cfg.Worlds, ByGoal: make(map[string]int)}
 	runWorld := RunWorld
 	if cfg.Fork {
 		runWorld = RunWorldFork
@@ -63,11 +63,11 @@ func Swarm(cfg SwarmConfig) (SwarmSummary, error) {
 			Trials: cfg.Worlds,
 			Seed:   func(i int) uint64 { return cfg.SeedBase + uint64(i) },
 			Run: func(t campaign.Trial) (any, error) {
-				p := Generate(t.Seed)
+				w := Generate(t.Seed)
 				if cfg.Mutate != nil {
-					cfg.Mutate(&p)
+					cfg.Mutate(&w)
 				}
-				return runWorld(t.Seed, p)
+				return runWorld(t.Seed, w)
 			},
 		}},
 	}
@@ -77,7 +77,7 @@ func Swarm(cfg SwarmConfig) (SwarmSummary, error) {
 			return
 		}
 		res := r.Value.(Result)
-		sum.ByScenario[res.Params.Scenario]++
+		sum.ByGoal[res.World.Goal()]++
 		if res.Connected {
 			sum.Connected++
 		}

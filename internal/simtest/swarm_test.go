@@ -1,8 +1,15 @@
 package simtest
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
+
+	"injectable/internal/scenario"
 )
 
 // swarmSeedBase anchors the CI swarm; the full run covers
@@ -17,11 +24,80 @@ func swarmWorlds(t *testing.T) int {
 	return 500
 }
 
+// fingerprintManifest holds the SHA-256 of Fingerprint() for the CI
+// swarm's worlds: "run N" lines for RunWorld over seeds 42000–42499 and
+// "fork N" lines for RunWorldFork over 42000–42199, so a change to any
+// layer that moves one world's timeline shows here. There is no update
+// flag: an intended change regenerates the file as a reviewed diff.
+const fingerprintManifest = "testdata/swarm_fingerprints.sha256"
+
+// fingerprintChecker returns a check of one result against the manifest
+// line "<mode> <seed>"; seeds outside the manifest are not checked.
+func fingerprintChecker(t *testing.T, mode string) func(Result) {
+	t.Helper()
+	f, err := os.Open(fingerprintManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		sum, key, ok := strings.Cut(sc.Text(), "  ")
+		if !ok {
+			t.Fatalf("malformed manifest line %q", sc.Text())
+		}
+		want[key] = sum
+	}
+	return func(r Result) {
+		key := fmt.Sprintf("%s %d", mode, r.Seed)
+		sum, ok := want[key]
+		if !ok {
+			return
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(r.Fingerprint()))); got != sum {
+			t.Errorf("%s: fingerprint %s, manifest %s\n%s", key, got, sum, r.Fingerprint())
+		}
+	}
+}
+
+// defaultWorld is the swarm's historical baseline world written as a spec:
+// the paper's triangle (2 m edges) with the victim named after its type,
+// phone-default interval 36 and hop 7, spec widening, and a passive
+// attacker.
+func defaultWorld() World {
+	return World{Spec: scenario.Spec{
+		Version: scenario.Version,
+		Devices: []scenario.Device{
+			{Type: "lightbulb", Name: "lightbulb", ClockPPM: 50, ClockJitterUS: 1},
+			{Type: "phone", Name: "phone", Pos: &scenario.Pos{X: 2}, ClockPPM: 50, ClockJitterUS: 1},
+		},
+		Conn:     &scenario.Conn{Interval: 36, Hop: 7},
+		Traffic:  &scenario.Traffic{ActivityMS: 500},
+		Attacker: &scenario.Attacker{Goal: "none", Pos: &scenario.Pos{X: -2}},
+		Run:      &scenario.Run{SimSeconds: 8},
+	}}
+}
+
+// withGoal retargets a world's attacker; inject worlds write the victim's
+// feature trigger.
+func withGoal(w World, goal string) World {
+	a := *w.Spec.Attacker
+	a.Goal, a.Payload = goal, ""
+	if goal == "inject" {
+		a.Payload = "feature"
+	}
+	w.Spec.Attacker = &a
+	return w
+}
+
 // TestSwarmInvariantsHold is the tentpole: every randomized world must pass
-// every cross-layer invariant.
+// every cross-layer invariant, and keep its pinned fingerprint.
 func TestSwarmInvariantsHold(t *testing.T) {
 	worlds := swarmWorlds(t)
-	sum, err := Swarm(SwarmConfig{SeedBase: swarmSeedBase, Worlds: worlds})
+	sum, err := Swarm(SwarmConfig{
+		SeedBase: swarmSeedBase, Worlds: worlds,
+		OnResult: fingerprintChecker(t, "run"),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,16 +106,16 @@ func TestSwarmInvariantsHold(t *testing.T) {
 	}
 	for _, f := range sum.Failures {
 		t.Errorf("seed %d (%v): %d violations, first: %v\nrepro: go run ./cmd/simtest -seed %d",
-			f.Seed, f.Params, len(f.Violations)+f.Truncated, f.Violations[0], f.Seed)
+			f.Seed, f.World, len(f.Violations)+f.Truncated, f.Violations[0], f.Seed)
 	}
 	// The swarm must actually exercise the stack, not vacuously pass.
 	if sum.Connected < worlds/2 {
 		t.Fatalf("only %d/%d worlds connected — generator ranges are off", sum.Connected, worlds)
 	}
-	if len(sum.ByScenario) < 3 {
-		t.Fatalf("scenario coverage too thin: %v", sum.ByScenario)
+	if len(sum.ByGoal) < 3 {
+		t.Fatalf("goal coverage too thin: %v", sum.ByGoal)
 	}
-	t.Logf("%d worlds, %d connected, scenarios %v", worlds, sum.Connected, sum.ByScenario)
+	t.Logf("%d worlds, %d connected, goals %v", worlds, sum.Connected, sum.ByGoal)
 }
 
 // TestSwarmDeterministicAcrossWorkers reruns the same seed range at
@@ -49,13 +125,17 @@ func TestSwarmDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		worlds = 8
 	}
+	check := fingerprintChecker(t, "run")
 	run := func(workers int) []string {
 		var fps []string
 		_, err := Swarm(SwarmConfig{
 			SeedBase: swarmSeedBase,
 			Worlds:   worlds,
 			Parallel: workers,
-			OnResult: func(r Result) { fps = append(fps, r.Fingerprint()) },
+			OnResult: func(r Result) {
+				check(r)
+				fps = append(fps, r.Fingerprint())
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -80,120 +160,133 @@ func TestSwarmDeterministicAcrossWorkers(t *testing.T) {
 // TestBrokenWideningCaught is the engine's self-test: a slave whose
 // widening is silently tightened below eq. 4/5 must be flagged.
 func TestBrokenWideningCaught(t *testing.T) {
-	p := DefaultParams()
-	p.BreakWidening = 0.5
-	r, err := RunWorld(7, p)
+	w := defaultWorld()
+	w.BreakWidening = 0.5
+	r, err := RunWorld(7, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Failed() {
-		t.Fatal("tightened widening went undetected")
-	}
-	found := false
-	for _, v := range r.Violations {
-		if v.Invariant == "widening-eq4" {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("expected a widening-eq4 violation, got: %v", r.Violations)
+	if !hasViolation(r, "widening-eq4") {
+		t.Fatalf("tightened widening went undetected, violations: %v", r.Violations)
 	}
 }
 
+func hasViolation(r Result, invariant string) bool {
+	for _, v := range r.Violations {
+		if v.Invariant == invariant {
+			return true
+		}
+	}
+	return false
+}
+
 // TestBrokenWideningShrinksToMinimalRepro plants the widening fault in a
-// messy generated world and requires the shrinker to isolate it to a ≤3
-// parameter repro with a runnable command line.
+// messy generated world and requires the shrinker to isolate it to at most
+// three non-default entries, with a repro that reproduces the violation.
 func TestBrokenWideningShrinksToMinimalRepro(t *testing.T) {
 	const seed = 99
-	p := Generate(seed) // a fully random world...
-	p.BreakWidening = 0.5
-	p.Scenario = "none" // ...kept cheap to rerun while shrinking
+	w := withGoal(Generate(seed), "none") // a fully random world, cheap to rerun while shrinking
+	w.BreakWidening = 0.5
 
-	s, err := Shrink(seed, p)
+	s, err := Shrink(seed, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s.Final.Failed() {
 		t.Fatal("shrunk world no longer fails")
 	}
-	diff := s.Minimal.Diff()
-	if len(diff) > 3 {
-		t.Fatalf("minimal repro has %d parameters, want ≤3: %v", len(diff), diff)
+	entries := s.Minimal.Entries()
+	if len(entries) > 3 {
+		t.Fatalf("minimal repro has %d entries, want ≤3: %v", len(entries), entries)
 	}
-	hasBreak := false
-	for _, d := range diff {
-		if strings.HasPrefix(d, "breakWidening=") {
-			hasBreak = true
-		}
-	}
-	if !hasBreak {
-		t.Fatalf("shrinker dropped the causative parameter: %v", diff)
+	if s.Minimal.BreakWidening != 0.5 {
+		t.Fatalf("shrinker dropped the causative knob: %v", entries)
 	}
 	repro := s.ReproCommand()
-	if !strings.Contains(repro, "-seed 99") || !strings.Contains(repro, "breakWidening") {
+	if !strings.Contains(repro, "-seed 99 -spec ") || !strings.Contains(repro, "-break-widening 0.5") {
 		t.Fatalf("repro command incomplete: %s", repro)
 	}
-	t.Logf("shrunk in %d runs to: %s", s.Runs, repro)
+	// The repro's spec is the canonical encoding; decoding it must rebuild
+	// the failing world.
+	b, err := scenario.EncodeCanonical(s.Minimal.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(repro, "'"+string(b)+"'") {
+		t.Fatalf("repro does not carry the canonical spec %s: %s", b, repro)
+	}
+	spec, err := scenario.DecodeSpec(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunWorld(seed, World{Spec: spec, BreakWidening: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasViolation(r, "widening-eq4") {
+		t.Fatalf("repro world does not reproduce the violation: %v", r.Violations)
+	}
+	t.Logf("shrunk in %d runs to %v: %s", s.Runs, entries, repro)
 }
 
-// TestShrinkPassingWorldIsIdentity: shrinking a healthy world returns it
-// unchanged and reports the passing run.
+// TestShrinkPassingWorld: shrinking a healthy world returns it unchanged
+// and reports the passing run.
 func TestShrinkPassingWorld(t *testing.T) {
-	s, err := Shrink(3, DefaultParams())
+	w := defaultWorld()
+	s, err := Shrink(3, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Final.Failed() {
 		t.Fatalf("default world fails: %v", s.Final.Violations)
 	}
-	if s.Runs != 1 || len(s.Minimal.Diff()) != 0 {
-		t.Fatalf("passing world was mutated: runs=%d diff=%v", s.Runs, s.Minimal.Diff())
+	if s.Runs != 1 || !reflect.DeepEqual(s.Minimal, w) {
+		t.Fatalf("passing world was mutated: runs=%d world=%v", s.Runs, s.Minimal)
 	}
 }
 
-// TestGenerateDeterministic: the parameter vector is a pure function of
-// the seed.
+// TestGenerateDeterministic: the world is a pure function of the seed.
 func TestGenerateDeterministic(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
-		a, b := Generate(seed), Generate(seed)
-		if a != b {
-			t.Fatalf("seed %d: %+v != %+v", seed, a, b)
-		}
-		if err := a.validate(); err != nil {
-			t.Fatalf("seed %d generated an invalid vector: %v", seed, err)
+		if a, b := Generate(seed), Generate(seed); !reflect.DeepEqual(a, b) {
+			t.Fatalf("seed %d: %v != %v", seed, a, b)
 		}
 	}
-	if Generate(1) == Generate(2) {
+	if Generate(1).String() == Generate(2).String() {
 		t.Fatal("distinct seeds generated identical worlds")
 	}
 }
 
-// TestParamsSetDiffRoundTrip: applying a Diff to defaults reconstructs the
-// original vector (the property the repro command depends on).
-func TestParamsSetDiffRoundTrip(t *testing.T) {
-	for seed := uint64(0); seed < 10; seed++ {
-		orig := Generate(seed)
-		rebuilt := DefaultParams()
-		for _, d := range orig.Diff() {
-			key, value, ok := strings.Cut(d, "=")
-			if !ok {
-				t.Fatalf("malformed diff entry %q", d)
-			}
-			if err := rebuilt.Set(key, value); err != nil {
+// TestGeneratedWorldsRoundTrip: every generated world of the CI swarm is
+// admitted, and its canonical encoding decodes to the canonical spec — the
+// property the -spec repro depends on. The first worlds rerun from their
+// decoded specs and must keep their pinned fingerprints.
+func TestGeneratedWorldsRoundTrip(t *testing.T) {
+	check := fingerprintChecker(t, "run")
+	for seed := uint64(swarmSeedBase); seed < swarmSeedBase+500; seed++ {
+		w := Generate(seed)
+		if err := scenario.Validate(w.Spec, 1, scenario.DefaultLimits); err != nil {
+			t.Fatalf("seed %d: generated world not admitted: %v", seed, err)
+		}
+		b, err := scenario.EncodeCanonical(w.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := scenario.DecodeSpec(b)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !reflect.DeepEqual(back, scenario.Canonical(w.Spec)) {
+			t.Fatalf("seed %d: %s decodes to %+v", seed, b, back)
+		}
+		if seed < swarmSeedBase+20 {
+			w.Spec = back
+			r, err := RunWorld(seed, w)
+			if err != nil {
 				t.Fatal(err)
 			}
+			check(r)
 		}
-		if rebuilt != orig {
-			t.Fatalf("seed %d: rebuilt %+v != original %+v", seed, rebuilt, orig)
-		}
-	}
-	var p Params
-	if err := p.Set("nonsense", "1"); err == nil {
-		t.Fatal("unknown parameter accepted")
-	}
-	if err := p.Set("interval", "zebra"); err == nil {
-		t.Fatal("malformed value accepted")
 	}
 }
 

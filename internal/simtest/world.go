@@ -1,14 +1,26 @@
+// Package simtest is the repository's correctness backstop: a deterministic
+// randomized-world generator, a cross-layer invariant engine checking the
+// paper's quantitative laws (eqs. 1–7) on every event, and a shrinker that
+// reduces a failing world to a minimal scenario spec with a one-line repro.
+//
+// A world is an admitted scenario.Spec: it passes scenario.Validate, is
+// lowered by scenario.TrialConfig and built by experiments.BuildTrialWorld,
+// exactly as the daemon and the campaign engine build their trials. Only
+// the jammer and the checker-blind widening fault sit beside the spec.
+// Every generated world is derived from a single sim.RNG seed, so a
+// violation report is reproducible from its seed alone:
+//
+//	go run ./cmd/simtest -seed N -shrink
 package simtest
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
-	"injectable/internal/att"
-	"injectable/internal/ble"
-	"injectable/internal/devices"
-	"injectable/internal/gatt"
+	"injectable/internal/ble/pdu"
+	"injectable/internal/experiments"
 	"injectable/internal/host"
 	"injectable/internal/ids"
 	"injectable/internal/injectable"
@@ -16,19 +28,131 @@ import (
 	"injectable/internal/medium"
 	"injectable/internal/obs"
 	"injectable/internal/phy"
+	"injectable/internal/scenario"
 	"injectable/internal/sim"
 )
 
+// World is one checked world: a single-point scenario spec plus the two
+// knobs admission never accepts.
+type World struct {
+	// Spec describes the world. It must pass scenario.Validate and carry no
+	// sweep axes (expand a sweep with scenario.Expand first).
+	Spec scenario.Spec
+	// Jammer adds periodic wideband noise bursts cycling over the channels.
+	Jammer bool
+	// BreakWidening is a fault-injection knob for self-testing the
+	// invariant engine: the victim's widening is silently scaled by this
+	// factor WITHOUT telling the checker — exactly the "widening bound
+	// tightened below eq. 4/5" regression the engine must catch. 0 = off.
+	BreakWidening float64
+}
+
+// Goal names the world's attacker goal (the spec's "" is "inject").
+func (w World) Goal() string {
+	if a := w.Spec.Attacker; a != nil && a.Goal != "" {
+		return a.Goal
+	}
+	return experiments.GoalInject
+}
+
+// String renders the world as its canonical spec plus the knobs it sets.
+func (w World) String() string {
+	b, err := scenario.EncodeCanonical(w.Spec)
+	if err != nil {
+		return fmt.Sprintf("unencodable spec: %v", err)
+	}
+	s := string(b)
+	if w.Jammer {
+		s += " jammer"
+	}
+	if w.BreakWidening != 0 {
+		s += fmt.Sprintf(" break-widening=%g", w.BreakWidening)
+	}
+	return s
+}
+
+// Generate draws a world from the seed's dedicated RNG stream. Equal seeds
+// yield equal worlds; the stream is independent of the world's own
+// simulation randomness (sim.RNG child-stream isolation). The victim,
+// named after its type, sits at the origin; the central "phone" faces it
+// from +x and the attacker from −x; a lightbulb "bystander" may advertise
+// at (1.5, 2.5). Every sub-object is non-nil, so callers can retarget a
+// generated world field by field.
+func Generate(seed uint64) World {
+	rng := sim.NewRNG(seed).Child("simtest-gen")
+	targets := []string{"lightbulb", "keyfob", "smartwatch"}
+	victim := scenario.Device{Type: targets[rng.Intn(len(targets))]}
+	victim.Name = victim.Type
+	atk := &scenario.Attacker{}
+	switch r := rng.Float64(); {
+	case r < 0.30:
+		atk.Goal = experiments.GoalNone
+	case r < 0.72:
+		atk.Goal, atk.Payload = experiments.GoalInject, "feature"
+	case r < 0.86:
+		atk.Goal = experiments.GoalHijackSlave
+	default:
+		atk.Goal = experiments.GoalHijackMaster
+	}
+
+	conn := &scenario.Conn{Interval: 6 + rng.Intn(45)} // 7.5 .. 62.5 ms
+	if rng.Bool(0.3) {
+		conn.Latency = 1 + rng.Intn(4)
+	}
+	conn.Hop = 5 + rng.Intn(12)
+	conn.CSA2 = rng.Bool(0.25)
+	if rng.Bool(0.4) {
+		conn.UnusedChannels = 1 + rng.Intn(8)
+	}
+
+	phone := scenario.Device{Type: "phone", Name: "phone"}
+	victim.ClockPPM = 10 + 140*rng.Float64()
+	phone.ClockPPM = 10 + 140*rng.Float64()
+	victim.ClockJitterUS = 0.2 + 2.8*rng.Float64()
+	phone.ClockJitterUS = 0.2 + 2.8*rng.Float64()
+	phone.Pos = &scenario.Pos{X: 0.5 + 3.5*rng.Float64()}
+	atk.Pos = &scenario.Pos{X: -(0.5 + 5.5*rng.Float64())}
+
+	traffic := &scenario.Traffic{}
+	if !rng.Bool(0.3) {
+		traffic.ActivityMS = 100 + rng.Intn(900)
+	}
+	w := World{Spec: scenario.Spec{
+		Version:  scenario.Version,
+		Devices:  []scenario.Device{victim, phone},
+		Conn:     conn,
+		Traffic:  traffic,
+		Attacker: atk,
+	}}
+	if rng.Bool(0.2) {
+		// An unrelated advertiser sharing the band: its traffic must never
+		// confuse the connection's invariants.
+		w.Spec.Devices = append(w.Spec.Devices, scenario.Device{
+			Type: "lightbulb", Name: "bystander", Pos: &scenario.Pos{X: 1.5, Y: 2.5},
+		})
+	}
+	w.Jammer = rng.Bool(0.1)
+	w.Spec.Defense = &scenario.Defense{IDS: rng.Bool(0.25)}
+	if rng.Bool(0.15) {
+		// Legitimate countermeasure worlds: the checker is told the scale,
+		// so a scaled widening is NOT a violation (too small a scale may
+		// break the connection, which is an outcome, not a bug).
+		w.Spec.Defense.WideningScale = 0.5 + 1.5*rng.Float64()
+	}
+	w.Spec.Run = &scenario.Run{SimSeconds: float64(6 + rng.Intn(9))}
+	return w
+}
+
 // Result is the outcome of one checked world.
 type Result struct {
-	Seed   uint64
-	Params Params
+	Seed  uint64
+	World World
 
 	// Connected: the phone reached an established connection (worlds with
 	// jammers or tight clocks may legitimately fail to connect).
 	Connected bool
 	// SnifferSynced: the attacker's sniffer was following the connection
-	// when the attack phase started (attack scenarios only).
+	// when the attack phase started (attack goals only).
 	SnifferSynced bool
 	// Windows counts slave receive windows the checker inspected.
 	Windows int
@@ -36,7 +160,7 @@ type Result struct {
 	// entries reconciled against them.
 	InjectTx int
 	Records  int
-	// AttackDone/AttackSuccess: the scenario's completion callback fired /
+	// AttackDone/AttackSuccess: the goal's completion callback fired /
 	// reported success (invariants are checked regardless).
 	AttackDone    bool
 	AttackSuccess bool
@@ -80,201 +204,135 @@ func (r Result) Fingerprint() string {
 	return b.String()
 }
 
-// liveWorld is one built world with every piece of mutable run state in
-// struct fields. The snapshot engine reaches state through fields, slices
-// and maps — not through closure variables — so anything a callback
-// mutates (the result record the attack completion callbacks write, the
-// jammer's channel cursor) must hang off this struct, which is registered
-// as a snapshot root. That is what lets ForkCheck roll a half-run world
-// back and replay it.
+// liveWorld is one production trial world under the checker, with every
+// piece of mutable run state in struct fields. The snapshot engine reaches
+// state through fields, slices and maps — not through closure variables —
+// so anything a callback mutates (the result record the goal's completion
+// callback writes, the jammer's channel cursor) must hang off this struct,
+// which is registered as a snapshot root. That is what lets ForkCheck roll
+// a half-run world back and replay it.
 type liveWorld struct {
 	res Result
+	// err is a goal launch that failed (reported after the run, since a
+	// delayed launch fires mid-run).
+	err error
 
-	w        *host.World
-	ck       *Checker
-	hub      *obs.Hub
-	target   *host.Peripheral
-	bulb     *devices.Lightbulb
-	fob      *devices.Keyfob
-	watch    *devices.Smartwatch
-	phone    *devices.Smartphone
-	attacker *injectable.Attacker
-	monitor  *ids.Monitor
-	jam      *jammer
+	cfg experiments.TrialConfig
+	tw  *experiments.TrialWorld
+	ck  *Checker
+	hub *obs.Hub
+	jam *jammer
 }
 
 // RunWorld builds and runs one world under the invariant engine. The error
-// return is construction-level only (invalid parameters); invariant
-// breaches and failed connections are reported in the Result.
-func RunWorld(seed uint64, p Params) (Result, error) {
-	lw, err := buildWorld(seed, p)
+// return is construction-level only (an inadmissible spec, a failed goal
+// launch); invariant breaches and failed connections are reported in the
+// Result.
+func RunWorld(seed uint64, w World) (Result, error) {
+	lw, err := bringUp(seed, w)
 	if err != nil {
 		return Result{}, err
 	}
-	lw.start(p)
-	if err := lw.attack(p); err != nil {
-		return lw.res, err
-	}
-	lw.w.RunFor(sim.Duration(p.RunSeconds) * sim.Second)
-	return lw.collect(), nil
+	lw.tw.W.RunFor(lw.cfg.SimBudget)
+	return lw.collect(), lw.err
 }
 
-// buildWorld constructs the world, devices and observers for p without
-// running any simulated time.
-func buildWorld(seed uint64, p Params) (*liveWorld, error) {
-	if err := p.validate(); err != nil {
+// bringUp admits and lowers the spec, builds its world on the production
+// path with the checker hooked into every layer, runs the 3 s handshake
+// and launches the attacker goal.
+func bringUp(seed uint64, w World) (*liveWorld, error) {
+	if err := scenario.Validate(w.Spec, 1, scenario.DefaultLimits); err != nil {
 		return nil, err
 	}
-	lw := &liveWorld{res: Result{Seed: seed, Params: p}}
-
+	if len(w.Spec.Sweep) > 0 {
+		return nil, errors.New("simtest: a world is one point; expand the sweep first")
+	}
+	cfg, err := scenario.TrialConfig(w.Spec)
+	if err != nil {
+		return nil, err
+	}
+	cfg = cfg.WithDefaults()
+	cfg.Seed = seed
+	lw := &liveWorld{res: Result{Seed: seed, World: w}, cfg: cfg, hub: obs.NewHub()}
 	// The checker must exist before the world (it is the world's tracer),
 	// but needs the world's clock; close over the late-bound pointer.
-	var w *host.World
-	ck := NewChecker(func() sim.Time { return w.Sched.Now() }, p.WideningScale)
-	hub := obs.NewHub()
-	w = host.NewWorld(host.WorldConfig{Seed: seed, Tracer: ck, Obs: hub})
-	w.Medium.AddObserver(ck)
-	w.Medium.SetDeliverObserver(ck.OnDeliver)
-	lw.w, lw.ck, lw.hub = w, ck, hub
+	lw.ck = NewChecker(func() sim.Time { return lw.tw.W.Now() }, cfg.WideningScale)
 
-	// Victim peripheral at the origin. BreakWidening is the fault-injection
-	// backdoor: the device's widening scale is changed behind the checker's
-	// back, which must surface as a widening-eq4 violation.
-	deviceScale := p.WideningScale
-	if p.BreakWidening > 0 {
-		eff := deviceScale
-		if eff <= 0 {
-			eff = 1
+	// BreakWidening is the fault-injection backdoor: the victim's widening
+	// scale is changed behind the checker's back, which must surface as a
+	// widening-eq4 violation.
+	if w.BreakWidening > 0 {
+		scale := cfg.WideningScale
+		if scale <= 0 {
+			scale = 1
 		}
-		deviceScale = eff * p.BreakWidening
+		cfg.WideningScale = scale * w.BreakWidening
 	}
-	targetDev := w.NewDevice(host.DeviceConfig{
-		Name:          p.Target,
-		Position:      phy.Position{},
-		ClockPPM:      p.TargetPPM,
-		ClockJitter:   usDuration(p.TargetJitterUS),
-		WideningScale: deviceScale,
-	})
-	switch p.Target {
-	case "lightbulb":
-		lw.bulb = devices.NewLightbulb(targetDev)
-		lw.target = lw.bulb.Peripheral
-	case "keyfob":
-		lw.fob = devices.NewKeyfob(targetDev)
-		lw.target = lw.fob.Peripheral
-	case "smartwatch":
-		lw.watch = devices.NewSmartwatch(targetDev)
-		lw.target = lw.watch.Peripheral
+	lw.tw, err = experiments.BuildTrialWorld(cfg, experiments.Instrumentation{Tracer: lw.ck, Obs: lw.hub})
+	if err != nil {
+		return nil, err
 	}
-	lw.target.OnConnect = func(conn *link.Conn) { ck.WatchConn(p.Target, conn) }
+	tw, ck := lw.tw, lw.ck
+	tw.W.Medium.AddObserver(ck)
+	tw.W.Medium.SetDeliverObserver(ck.OnDeliver)
+	victim := tw.Peripheral.Device.Stack.Name
+	tw.Peripheral.OnConnect = func(conn *link.Conn) { ck.WatchConn(victim, conn) }
+	tw.Atk.Injector.OnAttempt = func(a injectable.Attempt) { ck.CheckAttemptOutcome(string(a.Outcome)) }
+	if w.Jammer {
+		lw.jam = startJammer(tw.W)
+	}
+	tw.W.AddSnapshotRoot(lw)
 
-	// Phone central opposite the attacker.
-	chMap := ble.AllChannels
-	for ch := 0; ch < p.UnusedChans; ch++ {
-		chMap = chMap.Without(uint8(ch))
+	if err := tw.Connect(nil); err != nil {
+		return nil, err
 	}
-	activity := sim.Duration(-1)
-	if p.ActivityMS > 0 {
-		activity = sim.Duration(p.ActivityMS) * sim.Millisecond
+	lw.res.Connected = tw.Phone.Central.Connected()
+	if cfg.Goal == experiments.GoalNone || !lw.res.Connected || !tw.Atk.Sniffer.Following() {
+		return lw, nil
 	}
-	lw.phone = devices.NewSmartphone(w.NewDevice(host.DeviceConfig{
-		Name:        "phone",
-		Position:    phy.Position{X: p.PhoneDist},
-		ClockPPM:    p.PhonePPM,
-		ClockJitter: usDuration(p.PhoneJitterUS),
-	}), devices.SmartphoneConfig{
-		ConnParams: link.ConnParams{
-			Interval:   p.Interval,
-			Latency:    p.Latency,
-			Hop:        p.Hop,
-			CSA2:       p.CSA2,
-			ChannelMap: chMap,
-		},
-		ActivityInterval: activity,
-	})
-
-	if p.Scenario != "none" {
-		atk := w.NewDevice(host.DeviceConfig{
-			Name: "attacker", Position: phy.Position{X: -p.AttackerDist},
-			ClockPPM: 20, ClockJitter: 500 * sim.Nanosecond,
-		})
-		lw.attacker = injectable.NewAttacker(atk.Stack, injectable.InjectorConfig{})
-		lw.attacker.Injector.OnAttempt = func(a injectable.Attempt) {
-			ck.CheckAttemptOutcome(string(a.Outcome))
-		}
+	lw.res.SnifferSynced = true
+	if cfg.GoalDelay > 0 {
+		tw.W.Sched.After(cfg.GoalDelay, "attack:launch", lw.launch)
+	} else {
+		lw.launch()
 	}
-
-	if p.IDS {
-		lw.monitor = ids.New(ids.Config{})
-		w.Medium.AddObserver(lw.monitor)
-	}
-
-	if p.Bystander {
-		// An unrelated advertiser sharing the band: its traffic must never
-		// confuse the connection's invariants.
-		by := devices.NewLightbulb(w.NewDevice(host.DeviceConfig{
-			Name: "bystander", Position: phy.Position{X: 1.5, Y: 2.5},
-		}))
-		by.Peripheral.StartAdvertising()
-	}
-	if p.Jammer {
-		lw.jam = startJammer(w)
-	}
-	w.AddSnapshotRoot(lw)
 	return lw, nil
 }
 
-// start brings the connection up: 3 s of simulated time covering
-// advertising, CONNECT_REQ and sniffer synchronisation.
-func (lw *liveWorld) start(p Params) {
-	if lw.attacker != nil {
-		lw.attacker.Sniffer.Start()
+// launch starts the world's attacker goal. Completion callbacks write into
+// lw.res — snapshot-visible fields, so a forked world re-reports
+// completion on replay.
+func (lw *liveWorld) launch() {
+	atk, cfg := lw.tw.Atk, lw.cfg
+	done := func(success bool) {
+		lw.res.AttackDone = true
+		lw.res.AttackSuccess = success
 	}
-	lw.target.StartAdvertising()
-	lw.phone.Connect(lw.target.Device.Address())
-	lw.w.RunFor(3 * sim.Second)
-	lw.res.Connected = lw.phone.Central.Connected()
-	if lw.attacker != nil {
-		lw.res.SnifferSynced = lw.attacker.Sniffer.Following()
-	}
-}
-
-// attack launches the scenario's attacker activity (if the connection and
-// sniffer are up). Completion callbacks write into lw.res — snapshot-visible
-// fields, so a forked world re-reports completion on replay.
-func (lw *liveWorld) attack(p Params) error {
-	if !lw.res.Connected || lw.attacker == nil || !lw.res.SnifferSynced {
-		return nil
-	}
-	switch p.Scenario {
-	case "inject":
-		handle, value := featureWrite(p.Target, lw.bulb, lw.fob, lw.watch)
-		err := lw.attacker.InjectWrite(handle, value, func(r injectable.Report) {
-			lw.res.AttackDone = true
-			lw.res.AttackSuccess = r.Success
+	var err error
+	switch cfg.Goal {
+	case "", experiments.GoalInject:
+		var frame pdu.DataPDU
+		if frame, err = lw.tw.Frame(cfg); err == nil {
+			err = atk.Injector.Inject(frame, func(r injectable.Report) { done(r.Success) })
+		}
+	case experiments.GoalHijackSlave:
+		err = atk.HijackSlave(experiments.HijackServer(), func(h *injectable.SlaveHijack, e error) {
+			done(e == nil && h != nil)
 		})
-		if err != nil {
-			return fmt.Errorf("simtest: inject: %w", err)
-		}
-	case "hijack-slave":
-		err := lw.attacker.HijackSlave(simtestServer(), func(h *injectable.SlaveHijack, e error) {
-			lw.res.AttackDone = true
-			lw.res.AttackSuccess = e == nil && h != nil
+	case experiments.GoalHijackMaster:
+		err = atk.HijackMaster(cfg.Update, func(h *injectable.MasterHijack, e error) {
+			done(e == nil && h != nil)
 		})
-		if err != nil {
-			return fmt.Errorf("simtest: hijack-slave: %w", err)
-		}
-	case "hijack-master":
-		err := lw.attacker.HijackMaster(injectable.UpdateParams{},
-			func(h *injectable.MasterHijack, e error) {
-				lw.res.AttackDone = true
-				lw.res.AttackSuccess = e == nil && h != nil
-			})
-		if err != nil {
-			return fmt.Errorf("simtest: hijack-master: %w", err)
-		}
+	case experiments.GoalMITM:
+		err = atk.ManInTheMiddle(cfg.Update, injectable.MITMConfig{}, func(m *injectable.MITM, e error) {
+			done(e == nil && m != nil)
+		})
+	case experiments.GoalUpdate:
+		err = atk.InjectConnectionUpdate(cfg.Update, func(r injectable.Report) { done(r.Success) })
 	}
-	return nil
+	if err != nil {
+		lw.err = fmt.Errorf("simtest: %s: %w", cfg.Goal, err)
+	}
 }
 
 // collect reconciles the ledger and freezes the result. Everything it
@@ -285,44 +343,15 @@ func (lw *liveWorld) collect() Result {
 	lw.res.Windows = lw.ck.Windows()
 	lw.res.InjectTx = lw.ck.InjectTxCount()
 	lw.res.Records = len(lw.hub.Ledger.Records())
-	if lw.monitor != nil {
+	if m := lw.tw.Monitor; m != nil {
 		lw.res.IDSAlerts = make(map[ids.AlertKind]int)
-		for _, a := range lw.monitor.Alerts() {
+		for _, a := range m.Alerts() {
 			lw.res.IDSAlerts[a.Kind]++
 		}
 	}
 	lw.res.Violations = lw.ck.Violations()
 	lw.res.Truncated = lw.ck.Truncated()
 	return lw.res
-}
-
-// usDuration converts fractional microseconds to a sim.Duration.
-func usDuration(us float64) sim.Duration {
-	return sim.Duration(us * float64(sim.Microsecond))
-}
-
-// featureWrite picks the scenario-A write for the generated target.
-func featureWrite(name string, bulb *devices.Lightbulb, fob *devices.Keyfob, watch *devices.Smartwatch) (uint16, []byte) {
-	switch name {
-	case "lightbulb":
-		return bulb.ControlHandle(), devices.PowerCommand(true)
-	case "keyfob":
-		return fob.AlertHandle(), devices.RingCommand()
-	default:
-		return watch.SMSHandle(), []byte("simtest")
-	}
-}
-
-// simtestServer is the minimal GATT profile the slave hijack serves.
-func simtestServer() *gatt.Server {
-	srv := gatt.NewServer(func([]byte) {})
-	srv.AddService(&gatt.Service{
-		UUID: att.UUID16(0x1800),
-		Characteristics: []*gatt.Characteristic{{
-			UUID: att.UUID16(0x2A00), Properties: gatt.PropRead, Value: []byte("simtest"),
-		}},
-	})
-	return srv
 }
 
 // jammer emits periodic wideband noise bursts cycling across the data
