@@ -21,9 +21,11 @@ import (
 )
 
 // reportTrialSeries runs one injection trial per iteration and reports the
-// mean attempts-before-success.
+// mean attempts-before-success. The trials share one sim.Arena, as a
+// campaign worker's do, so each row measures the path the catalog runs.
 func reportTrialSeries(b *testing.B, cfg experiments.TrialConfig, seedBase uint64) {
 	b.Helper()
+	cfg.Arena = sim.NewArena()
 	total, failures := 0, 0
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = seedBase + uint64(i)

@@ -135,3 +135,21 @@ func TestRunAllStdoutManifest(t *testing.T) {
 		t.Errorf("stdout differs from %s; recomputed manifest:\n%s", runAllManifest, got.String())
 	}
 }
+
+// TestReconnectWaitsForTheOldLink pins two fleet-update trials whose
+// first handshake half-forms: the retry terminates the link, the victim's
+// acknowledgement is lost, and the old master connection outlives the
+// 500 ms grace. Reconnecting then ran two master connections on the
+// phone's radio until the old one's supervision timeout stripped the new
+// link's callbacks, and the trial failed with "connection failed" (trial
+// seeds 803073503000 at point csa2,60 and 61227401000 at csa1,60).
+func TestReconnectWaitsForTheOldLink(t *testing.T) {
+	spec := filepath.Join("..", "..", "examples", "scenarios", "fleet-update.json")
+	for _, seed := range []string{"803073500000", "61227400000"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-spec", spec, "-trials", "1", "-seed", seed, "-q", "-parallel", "1"}, &stdout, &stderr)
+		if code != 0 {
+			t.Fatalf("seed %s: exit %d: %s", seed, code, stderr.String())
+		}
+	}
+}

@@ -62,6 +62,13 @@ func (p DataPDU) IsControl() bool { return p.Header.LLID == LLIDControl }
 // Marshal renders the on-air PDU. The header Length field is forced to the
 // payload length.
 func (p DataPDU) Marshal() []byte {
+	return p.AppendTo(make([]byte, 0, 2+len(p.Payload)))
+}
+
+// AppendTo appends the on-air PDU to b, as Marshal renders it, and returns
+// the extended slice: a caller that reuses one buffer marshals without
+// allocating.
+func (p DataPDU) AppendTo(b []byte) []byte {
 	h0 := byte(p.Header.LLID) & 0x3
 	if p.Header.NESN {
 		h0 |= 1 << 2
@@ -72,9 +79,8 @@ func (p DataPDU) Marshal() []byte {
 	if p.Header.MD {
 		h0 |= 1 << 4
 	}
-	out := make([]byte, 0, 2+len(p.Payload))
-	out = append(out, h0, byte(len(p.Payload)))
-	return append(out, p.Payload...)
+	b = append(b, h0, byte(len(p.Payload)))
+	return append(b, p.Payload...)
 }
 
 // UnmarshalDataPDU parses a data-channel PDU.

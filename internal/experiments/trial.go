@@ -455,6 +455,17 @@ func (tw *TrialWorld) warm(cfg TrialConfig) error {
 			if err := runFor(tw.W, 500*sim.Millisecond, cfg.Ctx, nil); err != nil {
 				return err
 			}
+			// If the victim's acknowledgement of LL_TERMINATE_IND was lost,
+			// the old link lives on until its supervision timeout, and a
+			// reconnect now would run two master connections on one radio:
+			// the old one's close would then strip the new link's radio
+			// callbacks. A real host likewise waits for Disconnection
+			// Complete before it initiates again.
+			if !c.Closed() {
+				if err := runFor(tw.W, c.Params().SupervisionTimeout(), cfg.Ctx, c.Closed); err != nil {
+					return err
+				}
+			}
 		}
 		tw.Atk.Sniffer.Stop()
 		tw.Atk.Sniffer.Start()

@@ -132,6 +132,12 @@ type Injector struct {
 
 	active *injection
 
+	// Labels and per-attempt callbacks built once, so an attempt arms its
+	// timers without allocating.
+	injectLabel, timeoutLabel   string
+	fireFn, txDoneFn, timeoutFn func()
+	responseFn                  func(medium.Received)
+
 	// OnAttempt observes every settled injection attempt (instrumentation /
 	// invariant checking). It fires after the attempt is recorded, before
 	// any retry is armed.
@@ -152,6 +158,7 @@ type injection struct {
 	nesnA    bool
 	lead     sim.Duration // estimated gap from tx start to the master's anchor
 	widening sim.Duration // eq. 4 widening estimate used for this attempt
+	frame    medium.Frame // the forged frame the pending attempt fires
 	// guard adapts upward on silent attempts: a no-response usually means
 	// the frame fired before the slave's window opened (relative clock
 	// drift ate the margin), so later attempts start slightly later.
@@ -161,7 +168,16 @@ type injection struct {
 // NewInjector builds an injector sharing the sniffer's radio.
 func NewInjector(stack *link.Stack, sniffer *Sniffer, cfg InjectorConfig) *Injector {
 	cfg.applyDefaults()
-	return &Injector{stack: stack, sniffer: sniffer, cfg: cfg}
+	inj := &Injector{
+		stack: stack, sniffer: sniffer, cfg: cfg,
+		injectLabel:  stack.Name + ":inject",
+		timeoutLabel: stack.Name + ":inject-timeout",
+	}
+	inj.fireFn = inj.fire
+	inj.txDoneFn = inj.txDone
+	inj.timeoutFn = inj.timeout
+	inj.responseFn = inj.onResponse
+	return inj
 }
 
 // Inject races payload into the followed connection, retrying until the
@@ -269,7 +285,7 @@ func (inj *Injector) scheduleAttempt() {
 	p.Header.SN = act.snA
 	p.Header.NESN = act.nesnA
 	raw := p.Marshal()
-	frame := medium.Frame{
+	act.frame = medium.Frame{
 		Mode:          phy.LE1M,
 		AccessAddress: uint32(st.Params.AccessAddress),
 		PDU:           raw,
@@ -277,15 +293,13 @@ func (inj *Injector) scheduleAttempt() {
 	}
 
 	inj.sniffer.Pause()
-	inj.stack.Clock.AtLocalOffset(st.LastAnchor, offset, inj.stack.Name+":inject", func() {
-		inj.fire(frame)
-	})
+	inj.stack.Clock.AtLocalOffset(st.LastAnchor, offset, inj.injectLabel, inj.fireFn)
 }
 
 // fire transmits the forged frame and observes the slave's reaction.
-func (inj *Injector) fire(frame medium.Frame) {
+func (inj *Injector) fire() {
 	act := inj.active
-	st := inj.sniffer.State()
+	frame := act.frame
 	inj.stack.Radio.SetChannel(phy.Channel(act.channel))
 	inj.stack.Radio.SetAccessAddress(frame.AccessAddress)
 	act.txStart = inj.stack.Sched.Now()
@@ -301,26 +315,33 @@ func (inj *Injector) fire(frame medium.Frame) {
 		TxStart: act.txStart, TxEnd: act.txEnd,
 		Lead: act.lead, WideningEst: act.widening,
 	})
-	inj.stack.Radio.OnTxDone = func() {
-		inj.stack.Radio.OnTxDone = nil
-		inj.stack.Radio.OnFrame = inj.onResponse
-		inj.stack.Radio.StartListening()
-		// Give the slave T_IFS + a max-length response + margin.
-		deadline := ble.TIFS + phy.LE1M.AirTime(ble.MaxDataPDULen+6) + 80*sim.Microsecond
-		act.deadline = inj.stack.Sched.After(deadline, inj.stack.Name+":inject-timeout", func() {
-			if inj.stack.Radio.Locked() || inj.stack.Radio.Acquiring() {
-				return // response arriving; onResponse settles it
-			}
-			inj.settle(Attempt{
-				Number: len(act.report.Attempts) + 1, Event: act.event,
-				Channel: act.channel, TxStart: act.txStart, TxEnd: act.txEnd,
-				Outcome:              OutcomeNoResponse,
-				MasterAnchorEstimate: act.txStart.Add(act.lead),
-			})
-		})
-	}
+	inj.stack.Radio.OnTxDone = inj.txDoneFn
 	inj.stack.Radio.Transmit(frame)
-	_ = st
+}
+
+// txDone listens for the slave's reaction once the forged frame is out.
+func (inj *Injector) txDone() {
+	act := inj.active
+	inj.stack.Radio.OnTxDone = nil
+	inj.stack.Radio.OnFrame = inj.responseFn
+	inj.stack.Radio.StartListening()
+	// Give the slave T_IFS + a max-length response + margin.
+	deadline := ble.TIFS + phy.LE1M.AirTime(ble.MaxDataPDULen+6) + 80*sim.Microsecond
+	act.deadline = inj.stack.Sched.After(deadline, inj.timeoutLabel, inj.timeoutFn)
+}
+
+// timeout settles an attempt the slave never answered.
+func (inj *Injector) timeout() {
+	if inj.stack.Radio.Locked() || inj.stack.Radio.Acquiring() {
+		return // response arriving; onResponse settles it
+	}
+	act := inj.active
+	inj.settle(Attempt{
+		Number: len(act.report.Attempts) + 1, Event: act.event,
+		Channel: act.channel, TxStart: act.txStart, TxEnd: act.txEnd,
+		Outcome:              OutcomeNoResponse,
+		MasterAnchorEstimate: act.txStart.Add(act.lead),
+	})
 }
 
 // onResponse applies the success heuristic (eq. 7) to the first frame

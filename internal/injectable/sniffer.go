@@ -34,11 +34,31 @@ type Sniffer struct {
 	state  *ConnState
 	phase  snifferPhase
 	paused bool
-	epoch  uint64
+	// epoch invalidates stale timers: it bumps whenever the sniffer moves
+	// on (a hop, a window, a frame, a pause or a stop). timer is the hop,
+	// window or close timer last armed, in epoch timerEpoch. At most one
+	// timer is live at a time, so arming the next one cancels it: either
+	// the epoch has moved since, or it is the timer now running. A timer
+	// that runs therefore acts only if the epoch has not moved since it
+	// was armed.
+	epoch      uint64
+	timer      sim.EventRef
+	timerEpoch uint64
+
+	// hopIdx counts the advertising-channel dwells; closeAt is when the
+	// window whose open is pending closes.
+	hopIdx  int
+	closeAt sim.Time
 
 	// eventHasMaster marks that the current event's first frame has been
 	// observed (so the next frame is the slave's response).
 	eventHasMaster bool
+
+	// Labels and callbacks built once, so following a connection event
+	// allocates nothing.
+	hopLabel, winOpenLabel, winCloseLabel, slaveWaitLabel, eventCloseLabel string
+	hopFn, winOpenFn, winCloseFn                                           func()
+	advFrameFn, dataFrameFn                                                func(medium.Received)
 
 	// OnConnectReq fires when a connection initiation is captured.
 	OnConnectReq func(req pdu.ConnectReq)
@@ -62,7 +82,34 @@ const (
 
 // NewSniffer builds a sniffer on the attacker's stack.
 func NewSniffer(stack *link.Stack) *Sniffer {
-	return &Sniffer{stack: stack}
+	n := stack.Name + ":sniff-"
+	s := &Sniffer{
+		stack:           stack,
+		hopLabel:        n + "hop",
+		winOpenLabel:    n + "win-open",
+		winCloseLabel:   n + "win-close",
+		slaveWaitLabel:  n + "slave-wait",
+		eventCloseLabel: n + "event-close",
+	}
+	s.hopFn = s.dwellEnd
+	s.winOpenFn = s.windowOpen
+	s.winCloseFn = s.windowClose
+	s.advFrameFn = s.onAdvFrame
+	s.dataFrameFn = s.onDataFrame
+	return s
+}
+
+// arm schedules fn d from now as the sniffer's one live timer, in the
+// current epoch, cancelling the timer armed before it.
+func (s *Sniffer) arm(d sim.Duration, label string, fn func()) {
+	s.armAt(s.stack.Sched.Now().Add(d), label, fn)
+}
+
+// armAt is arm at an absolute instant.
+func (s *Sniffer) armAt(at sim.Time, label string, fn func()) {
+	s.stack.Sched.Cancel(s.timer)
+	s.timerEpoch = s.epoch
+	s.timer = s.stack.Sched.At(at, label, fn)
 }
 
 // State returns the live connection state (nil before synchronisation).
@@ -77,7 +124,7 @@ func (s *Sniffer) Start() {
 	s.phase = phaseAdvertising
 	s.stack.Radio.SetPromiscuous(true)
 	s.stack.Radio.SetAccessAddress(uint32(ble.AdvertisingAccessAddress))
-	s.stack.Radio.OnFrame = s.onAdvFrame
+	s.stack.Radio.OnFrame = s.advFrameFn
 	s.hopAdvChannel(0)
 }
 
@@ -97,26 +144,25 @@ func (s *Sniffer) hopAdvChannel(i int) {
 	s.stack.Radio.SetChannel(phy.AdvChannels()[i%3])
 	s.stack.Radio.StartListening()
 	s.epoch++
-	epoch := s.epoch
-	var dwell func(d sim.Duration)
-	dwell = func(d sim.Duration) {
-		s.stack.Sched.After(d, s.stack.Name+":sniff-hop", func() {
-			if s.phase != phaseAdvertising || s.epoch != epoch {
-				return
-			}
-			if s.stack.Radio.Locked() || s.stack.Radio.Acquiring() {
-				// A frame is mid-air at the dwell boundary: let it finish,
-				// then check again. In a busy cell (many advertisers) this
-				// must re-arm — abandoning the timer would park the sniffer
-				// on this channel for good.
-				dwell(sim.Millisecond)
-				return
-			}
-			s.stack.Radio.StopListening()
-			s.hopAdvChannel(i + 1)
-		})
+	s.hopIdx = i
+	s.arm(50*sim.Millisecond, s.hopLabel, s.hopFn)
+}
+
+// dwellEnd ends a dwell on an advertising channel and hops to the next.
+func (s *Sniffer) dwellEnd() {
+	if s.phase != phaseAdvertising || s.epoch != s.timerEpoch {
+		return
 	}
-	dwell(50 * sim.Millisecond)
+	if s.stack.Radio.Locked() || s.stack.Radio.Acquiring() {
+		// A frame is mid-air at the dwell boundary: let it finish, then
+		// check again. In a busy cell (many advertisers) this must re-arm
+		// — abandoning the timer would park the sniffer on this channel
+		// for good.
+		s.arm(sim.Millisecond, s.hopLabel, s.hopFn)
+		return
+	}
+	s.stack.Radio.StopListening()
+	s.hopAdvChannel(s.hopIdx + 1)
 }
 
 // onAdvFrame inspects advertising traffic for CONNECT_REQ.
@@ -246,42 +292,42 @@ func (s *Sniffer) scheduleNextEventWindow() {
 // upcoming event's channel.
 func (s *Sniffer) scheduleWindow(openAt, closeAt sim.Time) {
 	s.epoch++
-	epoch := s.epoch
 	now := s.stack.Sched.Now()
 	if openAt < now {
 		openAt = now
 	}
-	s.stack.Sched.At(openAt, s.stack.Name+":sniff-win-open", func() {
-		if s.phase != phaseFollowing || s.paused || s.epoch != epoch {
-			return
-		}
-		st := s.state
-		ch := st.ChannelFor(st.EventCount)
-		s.eventHasMaster = false
-		st.LastEventSawSlave = false
-		s.stack.Radio.SetChannel(phy.Channel(ch))
-		s.stack.Radio.SetAccessAddress(uint32(st.Params.AccessAddress))
-		s.stack.Radio.OnFrame = s.onDataFrame
-		s.stack.Radio.StartListening()
-		closeIn := closeAt.Sub(s.stack.Sched.Now())
-		if closeIn < 0 {
-			closeIn = 0
-		}
-		s.stack.Sched.After(closeIn, s.stack.Name+":sniff-win-close", func() {
-			s.windowClose(epoch)
-		})
-	})
+	s.closeAt = closeAt
+	s.armAt(openAt, s.winOpenLabel, s.winOpenFn)
+}
+
+// windowOpen starts listening on the upcoming event's channel until the
+// staged close instant.
+func (s *Sniffer) windowOpen() {
+	if s.phase != phaseFollowing || s.paused || s.epoch != s.timerEpoch {
+		return
+	}
+	st := s.state
+	ch := st.ChannelFor(st.EventCount)
+	s.eventHasMaster = false
+	st.LastEventSawSlave = false
+	s.stack.Radio.SetChannel(phy.Channel(ch))
+	s.stack.Radio.SetAccessAddress(uint32(st.Params.AccessAddress))
+	s.stack.Radio.OnFrame = s.dataFrameFn
+	s.stack.Radio.StartListening()
+	closeIn := s.closeAt.Sub(s.stack.Sched.Now())
+	if closeIn < 0 {
+		closeIn = 0
+	}
+	s.arm(closeIn, s.winCloseLabel, s.winCloseFn)
 }
 
 // windowClose ends the event observation if nothing more is arriving.
-func (s *Sniffer) windowClose(epoch uint64) {
-	if s.phase != phaseFollowing || s.paused || s.epoch != epoch {
+func (s *Sniffer) windowClose() {
+	if s.phase != phaseFollowing || s.paused || s.epoch != s.timerEpoch {
 		return
 	}
 	if s.stack.Radio.Locked() || s.stack.Radio.Acquiring() {
-		s.stack.Sched.After(60*sim.Microsecond, s.stack.Name+":sniff-win-close", func() {
-			s.windowClose(epoch)
-		})
+		s.arm(60*sim.Microsecond, s.winCloseLabel, s.winCloseFn)
 		return
 	}
 	s.stack.Radio.StopListening()
@@ -346,11 +392,8 @@ func (s *Sniffer) onDataFrame(rx medium.Received) {
 		// Keep listening for the slave's response.
 		s.stack.Radio.StartListening()
 		s.epoch++
-		epoch := s.epoch
 		deadline := ble.TIFS + phy.LE1M.PreambleAATime() + 60*sim.Microsecond
-		s.stack.Sched.After(deadline, s.stack.Name+":sniff-slave-wait", func() {
-			s.windowClose(epoch)
-		})
+		s.arm(deadline, s.slaveWaitLabel, s.winCloseFn)
 	} else {
 		st.LastEventSawSlave = true
 		if crcOK && err == nil {
@@ -367,10 +410,7 @@ func (s *Sniffer) onDataFrame(rx medium.Received) {
 		}
 		// Event complete after the slave frame (single exchange model).
 		s.epoch++
-		epoch := s.epoch
-		s.stack.Sched.After(sim.Microsecond, s.stack.Name+":sniff-event-close", func() {
-			s.windowClose(epoch)
-		})
+		s.arm(sim.Microsecond, s.eventCloseLabel, s.winCloseFn)
 	}
 	if err == nil {
 		s.deliverPacket(role, p, crcOK, rx)

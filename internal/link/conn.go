@@ -127,8 +127,14 @@ type Conn struct {
 	// feeds the window-widening span per eq. 4.
 	missedEvents uint16
 
-	txQueue  []pdu.DataPDU
-	inFlight *medium.Frame // marshaled unacknowledged frame (ciphertext if encrypted)
+	txQueue []pdu.DataPDU
+	// inFlight is the marshaled unacknowledged frame (ciphertext if
+	// encrypted); its PDU is nil when nothing awaits acknowledgement.
+	inFlight medium.Frame
+	// txBuf backs every frame this end marshals. Radio.Transmit copies the
+	// PDU it sends, and only a retransmission (inFlight) is sent from the
+	// buffer again, so each new frame can overwrite the last.
+	txBuf []byte
 
 	pendingUpdate *pdu.ConnectionUpdateInd
 	pendingChMap  *pdu.ChannelMapInd
@@ -152,12 +158,29 @@ type Conn struct {
 	awaitingResponse bool
 
 	// winEpoch invalidates stale slave window-close timers: it bumps when
-	// a window opens and when a frame arrives in it.
-	winEpoch uint64
+	// a window opens and when a frame arrives in it. winClose is the
+	// close timer last armed, in epoch winCloseEpoch; arming the next one
+	// cancels it, so a close that runs acts only if the epoch has not
+	// moved since it was armed.
+	winEpoch      uint64
+	winClose      sim.EventRef
+	winCloseEpoch uint64
 
 	// pendingWindow carries the widening inputs from the scheduling site
-	// to slaveOpenWindow, where OnWindow fires with them.
+	// to slaveOpenWindow, where OnWindow fires with them; winWidth is how
+	// long that window listens.
 	pendingWindow WindowInfo
+	winWidth      sim.Duration
+
+	// response is the frame the slave's pending response timer sends.
+	response medium.Frame
+
+	// Callbacks bound once in newConn, so a connection event allocates
+	// none. Master: anchor (masterEvent, or masterEventBody when the
+	// anchor is already placed), tx-done and no-response. Slave: window
+	// open and close, response and tx-done.
+	masterEventFn, masterBodyFn, masterTxDoneFn, noResponseFn func()
+	winOpenFn, winCloseFn, respondFn, slaveTxDoneFn           func()
 
 	// OnData receives CRC-valid, decrypted, non-control data PDUs carrying
 	// new data (SN-deduplicated).
@@ -191,6 +214,14 @@ func newConn(stack *Stack, role Role, params ConnParams, peer ble.Address) (*Con
 		selector: sel,
 		ins:      newConnInstruments(stack),
 	}
+	c.masterEventFn = c.masterEvent
+	c.masterBodyFn = c.masterEventBody
+	c.masterTxDoneFn = c.masterTxDone
+	c.noResponseFn = c.noResponse
+	c.winOpenFn = c.slaveOpenWindow
+	c.winCloseFn = c.slaveWindowClose
+	c.respondFn = c.respond
+	c.slaveTxDoneFn = c.slaveTxDone
 	stack.Radio.SetAccessAddress(uint32(params.AccessAddress))
 	stack.Radio.OnFrame = c.onFrame
 	c.lastValidRx = stack.Sched.Now()
@@ -385,10 +416,10 @@ func (c *Conn) supervisionExpired() bool {
 // nextPDU picks the PDU for the next transmission opportunity, applying
 // SN/NESN and encrypting if needed. It returns the ready-to-send frame.
 func (c *Conn) nextPDU() medium.Frame {
-	if c.inFlight != nil {
+	if c.inFlight.PDU != nil {
 		// Retransmission: identical bytes (same SN, same ciphertext).
 		c.ins.onRetransmission()
-		return *c.inFlight
+		return c.inFlight
 	}
 	var p pdu.DataPDU
 	if len(c.txQueue) > 0 {
@@ -404,12 +435,13 @@ func (c *Conn) nextPDU() medium.Frame {
 	if len(p.Payload) > 0 {
 		// Only non-empty PDUs need acknowledgement tracking for
 		// retransmission; empty PDUs are regenerated each event.
-		c.inFlight = &frame
+		c.inFlight = frame
 	}
 	return frame
 }
 
-// marshalPDU renders and (if encryption is on for TX) encrypts a PDU.
+// marshalPDU renders and (if encryption is on for TX) encrypts a PDU into
+// the connection's transmit buffer.
 func (c *Conn) marshalPDU(p pdu.DataPDU) medium.Frame {
 	if c.txEncrypted() && len(p.Payload) > 0 {
 		dir := llcrypt.MasterToSlave
@@ -423,7 +455,8 @@ func (c *Conn) marshalPDU(p pdu.DataPDU) medium.Frame {
 		}
 		p = pdu.DataPDU{Header: p.Header, Payload: ct}
 	}
-	return dataChannelFrame(c.params, p)
+	c.txBuf = p.AppendTo(c.txBuf[:0])
+	return dataChannelFrame(c.params, c.txBuf)
 }
 
 // txEncrypted reports whether outgoing PDUs must be encrypted.
@@ -454,8 +487,8 @@ func (c *Conn) handleRxPDU(p pdu.DataPDU) bool {
 	// received; advance SN and release the retransmission buffer.
 	if p.Header.NESN != c.sn {
 		c.sn = !c.sn
-		if c.inFlight != nil {
-			c.inFlight = nil
+		if c.inFlight.PDU != nil {
+			c.inFlight = medium.Frame{}
 			if c.terminating && len(c.txQueue) == 0 {
 				c.close(reasonLocalTerminated)
 				return false

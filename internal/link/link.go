@@ -239,9 +239,9 @@ func newSelector(params ConnParams) (csa.Selector, error) {
 	return csa.NewAlgorithm1(params.Hop, params.ChannelMap)
 }
 
-// dataChannelFrame builds the on-air frame for a data PDU under params.
-func dataChannelFrame(params ConnParams, p pdu.DataPDU) medium.Frame {
-	raw := p.Marshal()
+// dataChannelFrame builds the on-air frame for a marshaled data PDU under
+// params.
+func dataChannelFrame(params ConnParams, raw []byte) medium.Frame {
 	return medium.Frame{
 		Mode:          phy.LE1M,
 		AccessAddress: uint32(params.AccessAddress),

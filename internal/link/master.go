@@ -18,7 +18,7 @@ func NewMasterConn(stack *Stack, params ConnParams, peer ble.Address, connReqEnd
 	}
 	// Master transmits at the beginning of the transmit window.
 	offset := ble.ConnUnit + sim.Duration(params.WinOffset)*ble.ConnUnit
-	c.scheduleLocal(connReqEnd, offset, stack.label().firstAnchor, c.masterEvent)
+	c.scheduleLocal(connReqEnd, offset, stack.label().firstAnchor, c.masterEventFn)
 	return c, nil
 }
 
@@ -37,7 +37,7 @@ func (c *Conn) masterEvent() {
 		// a transmit-window delay plus offset after the old anchor position.
 		c.applyUpdateParams(upd)
 		offset := ble.ConnUnit + sim.Duration(upd.WinOffset)*ble.ConnUnit
-		c.scheduleLocal(c.stack.Sched.Now(), offset, c.stack.label().updatedAnchor, c.masterEventBody)
+		c.scheduleLocal(c.stack.Sched.Now(), offset, c.stack.label().updatedAnchor, c.masterBodyFn)
 		return
 	}
 	c.masterEventBody()
@@ -61,37 +61,44 @@ func (c *Conn) masterEventBody() {
 
 	frame := c.nextPDU()
 	c.awaitingResponse = true
-	c.stack.Radio.OnTxDone = func() {
-		if c.closed {
-			return
-		}
-		c.stack.Radio.OnTxDone = nil
-		if c.pendingClose != nil {
-			// The packet just sent acknowledged the slave's
-			// LL_TERMINATE_IND; close without listening further.
-			c.close(*c.pendingClose)
-			return
-		}
-		c.stack.Radio.StartListening()
-		// If the slave's response preamble has not started by
-		// T_IFS + preamble+AA + slack, the event is over.
-		deadline := ble.TIFS + phy.LE1M.PreambleAATime() + maxResponseWait
-		c.schedule(deadline, c.stack.label().noResponse, func() {
-			if c.closed || !c.awaitingResponse {
-				return
-			}
-			if c.stack.Radio.Locked() || c.stack.Radio.Acquiring() {
-				return // reception in progress; onFrame will close the event
-			}
-			c.awaitingResponse = false
-			c.stack.Radio.StopListening()
-			c.stack.trace("no-response", func() []sim.Field {
-				return []sim.Field{sim.F("event", c.eventCount)}
-			})
-			c.closeMasterEvent()
-		})
-	}
+	c.stack.Radio.OnTxDone = c.masterTxDoneFn
 	c.stack.Radio.Transmit(frame)
+}
+
+// masterTxDone listens for the slave's response once the event-opening
+// packet is out.
+func (c *Conn) masterTxDone() {
+	if c.closed {
+		return
+	}
+	c.stack.Radio.OnTxDone = nil
+	if c.pendingClose != nil {
+		// The packet just sent acknowledged the slave's
+		// LL_TERMINATE_IND; close without listening further.
+		c.close(*c.pendingClose)
+		return
+	}
+	c.stack.Radio.StartListening()
+	// If the slave's response preamble has not started by
+	// T_IFS + preamble+AA + slack, the event is over.
+	deadline := ble.TIFS + phy.LE1M.PreambleAATime() + maxResponseWait
+	c.schedule(deadline, c.stack.label().noResponse, c.noResponseFn)
+}
+
+// noResponse closes an event whose response never started arriving.
+func (c *Conn) noResponse() {
+	if c.closed || !c.awaitingResponse {
+		return
+	}
+	if c.stack.Radio.Locked() || c.stack.Radio.Acquiring() {
+		return // reception in progress; onFrame will close the event
+	}
+	c.awaitingResponse = false
+	c.stack.Radio.StopListening()
+	c.stack.trace("no-response", func() []sim.Field {
+		return []sim.Field{sim.F("event", c.eventCount)}
+	})
+	c.closeMasterEvent()
 }
 
 // masterOnFrame handles the slave's response within a connection event.
@@ -122,5 +129,5 @@ func (c *Conn) closeMasterEvent() {
 		return
 	}
 	c.eventCount++
-	c.scheduleLocal(c.lastAnchor, c.params.IntervalDuration(), c.stack.label().anchor, c.masterEvent)
+	c.scheduleLocal(c.lastAnchor, c.params.IntervalDuration(), c.stack.label().anchor, c.masterEventFn)
 }

@@ -42,9 +42,8 @@ func (c *Conn) scheduleSlaveWindowForTransmitWindow(w TransmitWindow, ref sim.Ti
 	c.setPendingWindow(WindowInitial, span, widening, w.Size)
 	openOffset := span - widening
 	closeOffset := w.End().Sub(ref) + widening
-	c.scheduleLocal(ref, openOffset, c.stack.label().winOpen, func() {
-		c.slaveOpenWindow(closeOffset - openOffset)
-	})
+	c.winWidth = closeOffset - openOffset
+	c.scheduleLocal(ref, openOffset, c.stack.label().winOpen, c.winOpenFn)
 }
 
 // setPendingWindow stages the widening inputs for the next slaveOpenWindow.
@@ -76,9 +75,8 @@ func (c *Conn) scheduleNextSlaveWindow() {
 		c.setPendingWindow(WindowUpdate, span, widening, w.Size)
 		openOffset := span - widening
 		closeOffset := w.End().Sub(ref) + widening
-		c.scheduleLocal(ref, openOffset, c.stack.label().updWinOpen, func() {
-			c.slaveOpenWindow(closeOffset - openOffset)
-		})
+		c.winWidth = closeOffset - openOffset
+		c.scheduleLocal(ref, openOffset, c.stack.label().updWinOpen, c.winOpenFn)
 		return
 	}
 	// Slave latency: skip events when quiet (paper §III-B.8). Skipping
@@ -92,9 +90,8 @@ func (c *Conn) scheduleNextSlaveWindow() {
 	widening := c.currentWidening()
 	c.ins.onWidening(widening)
 	c.setPendingWindow(WindowSteady, span, widening, 0)
-	c.scheduleLocal(c.lastAnchor, span-widening, c.stack.label().winOpen, func() {
-		c.slaveOpenWindow(2 * widening)
-	})
+	c.winWidth = 2 * widening
+	c.scheduleLocal(c.lastAnchor, span-widening, c.stack.label().winOpen, c.winOpenFn)
 }
 
 // currentWidening returns the receive-window half-width for the upcoming
@@ -106,7 +103,7 @@ func (c *Conn) currentWidening() sim.Duration {
 
 // latencySkip returns how many events the slave may sleep through.
 func (c *Conn) latencySkip() uint16 {
-	if c.params.Latency == 0 || len(c.txQueue) > 0 || c.inFlight != nil || !c.anchorKnown {
+	if c.params.Latency == 0 || len(c.txQueue) > 0 || c.inFlight.PDU != nil || !c.anchorKnown {
 		return 0
 	}
 	skip := c.params.Latency
@@ -130,11 +127,13 @@ func (c *Conn) latencySkip() uint16 {
 	return skip
 }
 
-// slaveOpenWindow tunes to the event's channel and listens for width.
-func (c *Conn) slaveOpenWindow(width sim.Duration) {
+// slaveOpenWindow tunes to the event's channel and listens for the
+// window width staged with it.
+func (c *Conn) slaveOpenWindow() {
 	if c.closed {
 		return
 	}
+	width := c.winWidth
 	if c.supervisionExpired() {
 		c.close(reasonTimeout)
 		return
@@ -155,15 +154,25 @@ func (c *Conn) slaveOpenWindow(width sim.Duration) {
 		c.OnWindow(w)
 	}
 	c.winEpoch++
-	epoch := c.winEpoch
-	c.schedule(width, c.stack.label().winClose, func() { c.slaveWindowClose(epoch) })
+	c.armWindowClose(width)
+}
+
+// armWindowClose arms the window-close timer d from now, in the current
+// epoch. It cancels the close armed before: the epoch has moved since that
+// one was armed, or it is the close now running, so it could only be a
+// no-op, and left queued it would read this close's epoch.
+func (c *Conn) armWindowClose(d sim.Duration) {
+	c.stack.Sched.Cancel(c.winClose)
+	c.winCloseEpoch = c.winEpoch
+	c.winClose = c.stack.Sched.After(d, c.stack.label().winClose, c.winCloseFn)
+	c.timers = appendPending(c.timers, c.winClose)
 }
 
 // slaveWindowClose fires at the end of the widened receive window. Packets
 // whose start fell inside the window are still being received and complete
 // normally (the spec constrains only the packet start).
-func (c *Conn) slaveWindowClose(epoch uint64) {
-	if c.closed || c.winEpoch != epoch {
+func (c *Conn) slaveWindowClose() {
+	if c.closed || c.winEpoch != c.winCloseEpoch {
 		return // a frame arrived in this window; the event moved on
 	}
 	if c.stack.Radio.Locked() {
@@ -171,8 +180,7 @@ func (c *Conn) slaveWindowClose(epoch uint64) {
 	}
 	if c.stack.Radio.Acquiring() {
 		// A preamble that started inside the window is still arriving.
-		c.schedule(phy.LE1M.PreambleAATime()+5*sim.Microsecond, c.stack.label().winClose,
-			func() { c.slaveWindowClose(epoch) })
+		c.armWindowClose(phy.LE1M.PreambleAATime() + 5*sim.Microsecond)
 		return
 	}
 	c.stack.Radio.StopListening()
@@ -223,20 +231,26 @@ func (c *Conn) slaveOnFrame(rx medium.Received) {
 	}
 
 	// Respond T_IFS after the end of the received frame.
-	frame := c.nextPDU()
-	c.scheduleLocal(rx.EndAt, ble.TIFS, c.stack.label().response, func() {
-		if c.closed {
-			return
-		}
-		c.stack.Radio.OnTxDone = func() {
-			c.stack.Radio.OnTxDone = nil
-			if c.closed {
-				return
-			}
-			c.closeSlaveEvent()
-		}
-		c.stack.Radio.Transmit(frame)
-	})
+	c.response = c.nextPDU()
+	c.scheduleLocal(rx.EndAt, ble.TIFS, c.stack.label().response, c.respondFn)
+}
+
+// respond sends the staged response frame.
+func (c *Conn) respond() {
+	if c.closed {
+		return
+	}
+	c.stack.Radio.OnTxDone = c.slaveTxDoneFn
+	c.stack.Radio.Transmit(c.response)
+}
+
+// slaveTxDone closes the event once the response is out.
+func (c *Conn) slaveTxDone() {
+	c.stack.Radio.OnTxDone = nil
+	if c.closed {
+		return
+	}
+	c.closeSlaveEvent()
 }
 
 // closeSlaveEvent ends the event after the response transmission.

@@ -156,6 +156,13 @@ type Medium struct {
 	ins        *instruments
 	arena      *sim.ByteArena
 
+	// freeTx recycles transmissions. Besides active, a transmission is
+	// referenced only by receivers: their pending lock attempts, their
+	// lock, and the lock and rx-complete events queued for them. None of
+	// these outlives its end instant, so pruneActive frees it once that
+	// instant has passed.
+	freeTx []*transmission
+
 	// scratch is reused by interferersDuring so the overlap scan in the
 	// deliver/lock hot path does not allocate. Safe because the result is
 	// always consumed before the next call (capture models are pure and
@@ -242,16 +249,34 @@ func (m *Medium) rssiAt(t *transmission, r *Radio) phy.DBm {
 	return t.radio.txPower - phy.DBm(m.pathLoss(t.radio, r, t.channel))
 }
 
-// pruneActive drops transmissions that ended before now.
+// pruneActive drops transmissions that ended by now. One that ended
+// before now is recycled. One that ends exactly now is left to the
+// garbage collector: its rx-complete may still be queued at this instant.
 func (m *Medium) pruneActive() {
 	now := m.sched.Now()
 	kept := m.active[:0]
 	for _, t := range m.active {
-		if t.end > now {
+		switch {
+		case t.end > now:
 			kept = append(kept, t)
+		case t.end < now:
+			*t = transmission{}
+			m.freeTx = append(m.freeTx, t)
 		}
 	}
+	clear(m.active[len(kept):])
 	m.active = kept
+}
+
+// newTransmission takes a recycled transmission, or allocates one.
+func (m *Medium) newTransmission() *transmission {
+	if n := len(m.freeTx); n > 0 {
+		t := m.freeTx[n-1]
+		m.freeTx[n-1] = nil
+		m.freeTx = m.freeTx[:n-1]
+		return t
+	}
+	return &transmission{}
 }
 
 // overlap returns the overlap duration of [a1,a2] and [b1,b2].

@@ -2,6 +2,7 @@ package medium
 
 import (
 	"fmt"
+	"slices"
 
 	"injectable/internal/phy"
 	"injectable/internal/sim"
@@ -61,16 +62,31 @@ type Radio struct {
 	aaFilter    uint32
 	promiscuous bool
 
-	state   radioState
-	locked  *transmission
-	txEnd   sim.EventRef
-	endTxFn func() // endTx, bound once so a transmission allocates no closure
-	pending map[*transmission]sim.EventRef
+	state  radioState
+	locked *transmission
+	txEnd  sim.EventRef
+	// pending holds the lock attempts in flight, in arming order. It is
+	// almost always empty and never longer than the frames overlapping
+	// one preamble, so a slice beats a map on every transmit and stop.
+	pending []pendingLock
+
+	// Callbacks bound once, so a transmission allocates no closure: the
+	// per-transmission handlers take their *transmission as the AtArg
+	// argument.
+	endTxFn      func()
+	lockFn       func(any)
+	rxCompleteFn func(any)
 
 	// OnFrame is called when a locked frame completes, even if corrupted.
 	OnFrame func(rx Received)
 	// OnTxDone is called when this radio's own transmission ends.
 	OnTxDone func()
+}
+
+// pendingLock is one lock attempt armed for transmission t.
+type pendingLock struct {
+	t  *transmission
+	ev sim.EventRef
 }
 
 // NewRadio creates a radio and attaches it to the medium.
@@ -97,9 +113,10 @@ func (m *Medium) NewRadio(cfg RadioConfig) *Radio {
 		noiseEndLabel:   cfg.Name + ":noise-end",
 		rxCompleteLabel: cfg.Name + ":rx-complete",
 		state:           radioIdle,
-		pending:         make(map[*transmission]sim.EventRef),
 	}
 	r.endTxFn = r.endTx
+	r.lockFn = r.lockAttempt
+	r.rxCompleteFn = r.rxComplete
 	m.radios = append(m.radios, r)
 	m.invalidateLossCache()
 	return r
@@ -201,10 +218,11 @@ func (r *Radio) abortReceive() {
 }
 
 func (r *Radio) cancelPendingLocks() {
-	for tx, ev := range r.pending {
-		r.med.sched.Cancel(ev)
-		delete(r.pending, tx)
+	for _, p := range r.pending {
+		r.med.sched.Cancel(p.ev)
 	}
+	clear(r.pending)
+	r.pending = r.pending[:0]
 }
 
 // Transmit sends a frame starting now. The radio must not already be
@@ -217,7 +235,8 @@ func (r *Radio) Transmit(f Frame) {
 	f = r.med.cloneFrame(f)
 	f.Mode = r.mode
 	now := r.med.sched.Now()
-	t := &transmission{
+	t := r.med.newTransmission()
+	*t = transmission{
 		radio:   r,
 		frame:   f,
 		channel: r.channel,
@@ -245,7 +264,8 @@ func (r *Radio) TransmitNoise(d sim.Duration) {
 	}
 	r.abortReceive()
 	now := r.med.sched.Now()
-	t := &transmission{
+	t := r.med.newTransmission()
+	*t = transmission{
 		radio:   r,
 		channel: r.channel,
 		start:   now,
@@ -273,11 +293,16 @@ func (r *Radio) maybeScheduleLock(t *transmission, lockAt sim.Time) {
 	if !r.promiscuous && t.frame.AccessAddress != r.aaFilter {
 		return
 	}
-	ev := r.med.sched.At(lockAt, r.lockLabel, func() {
-		delete(r.pending, t)
-		r.tryLock(t)
-	})
-	r.pending[t] = ev
+	ev := r.med.sched.AtArg(lockAt, r.lockLabel, r.lockFn, t)
+	r.pending = append(r.pending, pendingLock{t: t, ev: ev})
+}
+
+// lockAttempt runs the lock attempt armed for arg's transmission: it
+// leaves the pending list, then tries to lock.
+func (r *Radio) lockAttempt(arg any) {
+	t := arg.(*transmission)
+	r.pending = slices.DeleteFunc(r.pending, func(p pendingLock) bool { return p.t == t })
+	r.tryLock(t)
 }
 
 // tryLock attempts to lock onto t once its preamble+AA has fully arrived.
@@ -302,14 +327,18 @@ func (r *Radio) tryLock(t *transmission) {
 		return []sim.Field{sim.F("from", t.radio.name), sim.F("ch", t.channel), sim.F("start", t.start)}
 	})
 	r.med.ins.onLock(r, t)
-	r.med.sched.At(t.end, r.rxCompleteLabel, func() {
-		if r.locked != t {
-			return // channel change or transmit aborted the reception
-		}
-		r.locked = nil
-		r.state = radioIdle
-		r.med.deliver(t, r)
-	})
+	r.med.sched.AtArg(t.end, r.rxCompleteLabel, r.rxCompleteFn, t)
+}
+
+// rxComplete ends the reception of arg's transmission at its last bit.
+func (r *Radio) rxComplete(arg any) {
+	t := arg.(*transmission)
+	if r.locked != t {
+		return // channel change or transmit aborted the reception
+	}
+	r.locked = nil
+	r.state = radioIdle
+	r.med.deliver(t, r)
 }
 
 // completeRx hands the finished frame to the owner.

@@ -44,14 +44,25 @@ func (h *Hub) Spans() *SpanLog {
 // Snapshot captures the registry (empty snapshot when the hub is nil).
 func (h *Hub) Snapshot() *Snapshot { return h.Reg().Snapshot() }
 
+// Bucket layouts of the per-attempt injection histograms, built once:
+// every attempt names its histograms, and Registry.Histogram only reads
+// the layout when it creates one (newHistogram copies it, so no restore
+// or sort ever writes to these).
+var (
+	leadBuckets     = LinearBuckets(2, 2, 25)
+	wideningBuckets = LinearBuckets(2, 2, 25)
+	marginBuckets   = LinearBuckets(-10, 5, 30)
+	sinrBuckets     = LinearBuckets(-30, 2, 31)
+)
+
 // BeginAttempt opens a forensics entry for an injection attempt.
 func (h *Hub) BeginAttempt(s AttemptStart) {
 	if h == nil {
 		return
 	}
 	h.Ledger.BeginAttempt(s)
-	h.Registry.Histogram("inject.lead_us", LinearBuckets(2, 2, 25)).Observe(dus(s.Lead))
-	h.Registry.Histogram("inject.widening_est_us", LinearBuckets(2, 2, 25)).Observe(dus(s.WideningEst))
+	h.Registry.Histogram("inject.lead_us", leadBuckets).Observe(dus(s.Lead))
+	h.Registry.Histogram("inject.widening_est_us", wideningBuckets).Observe(dus(s.WideningEst))
 }
 
 // EndAttempt closes the forensics entry and folds the attempt into the
@@ -74,10 +85,10 @@ func (h *Hub) EndAttempt(end AttemptEnd, anchorJitterUS float64) *InjectionRecor
 		r.Counter("inject.miss." + rec.MissReason).Inc()
 	}
 	if rec.WindowSeen {
-		r.Histogram("inject.margin_us", LinearBuckets(-10, 5, 30)).Observe(rec.TimingMarginUS)
+		r.Histogram("inject.margin_us", marginBuckets).Observe(rec.TimingMarginUS)
 	}
 	if rec.MasterSeen {
-		r.Histogram("inject.sinr_db", LinearBuckets(-30, 2, 31)).Observe(rec.SINRdB)
+		r.Histogram("inject.sinr_db", sinrBuckets).Observe(rec.SINRdB)
 	}
 	return rec
 }

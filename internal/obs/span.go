@@ -62,9 +62,13 @@ func Mark(trace, name string, kv ...string) Span {
 // a long-lived daemon's trace surface stays a window over recent work.
 // A nil *SpanLog is a no-op everywhere, matching the package's hub
 // conventions.
+//
+// Once full, spans is a ring: each Add overwrites the oldest span, at
+// head, and advances head, so a long-lived daemon pays O(1) per span.
 type SpanLog struct {
 	mu      sync.Mutex
 	spans   []Span
+	head    int
 	limit   int
 	dropped int
 }
@@ -88,12 +92,13 @@ func (l *SpanLog) Add(s Span) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.spans) >= l.limit {
-		over := len(l.spans) - l.limit + 1
-		l.spans = append(l.spans[:0], l.spans[over:]...)
-		l.dropped += over
+	if len(l.spans) < l.limit {
+		l.spans = append(l.spans, s)
+		return
 	}
-	l.spans = append(l.spans, s)
+	l.spans[l.head] = s
+	l.head = (l.head + 1) % len(l.spans)
+	l.dropped++
 }
 
 // Snapshot returns a copy of the retained spans in insertion order.
@@ -103,9 +108,9 @@ func (l *SpanLog) Snapshot() []Span {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Span, len(l.spans))
-	copy(out, l.spans)
-	return out
+	out := make([]Span, 0, len(l.spans))
+	out = append(out, l.spans[l.head:]...)
+	return append(out, l.spans[:l.head]...)
 }
 
 // Dropped returns how many spans were evicted by the bound.

@@ -26,6 +26,41 @@ func TestSpanLogBoundDropsOldest(t *testing.T) {
 	}
 }
 
+// TestSpanLogRingKeepsOrderAcrossWraps: past the bound the log is a ring;
+// Snapshot still returns the newest spans oldest first after several
+// wraps, and Dropped counts every eviction.
+func TestSpanLogRingKeepsOrderAcrossWraps(t *testing.T) {
+	l := NewSpanLog(4)
+	for i := 0; i < 11; i++ {
+		l.Add(Span{Name: "s", StartUS: int64(i)})
+	}
+	got := l.Snapshot()
+	for i, s := range got {
+		if s.StartUS != int64(7+i) {
+			t.Fatalf("snapshot %v, want spans 7..10 in order", got)
+		}
+	}
+	if len(got) != 4 || l.Dropped() != 7 {
+		t.Fatalf("kept %d, dropped %d; want 4 and 7", len(got), l.Dropped())
+	}
+}
+
+// TestSpanLogAddOnFullLogAllocatesNothing: a full log overwrites in
+// place, so a long-lived daemon's per-request span costs no allocation.
+func TestSpanLogAddOnFullLogAllocatesNothing(t *testing.T) {
+	l := NewSpanLog(DefaultSpanLimit)
+	s := Span{Trace: "t", Name: "cache-hit", StartUS: 1, DurUS: 2}
+	for i := 0; i < DefaultSpanLimit; i++ {
+		l.Add(s)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { l.Add(s) }); allocs != 0 {
+		t.Fatalf("Add on a full log allocates %v, want 0", allocs)
+	}
+	if l.Dropped() != 1001 {
+		t.Fatalf("dropped %d, want 1001", l.Dropped())
+	}
+}
+
 // TestSpanLogNilSafe: nil receivers are inert like the rest of obs.
 func TestSpanLogNilSafe(t *testing.T) {
 	var l *SpanLog

@@ -36,16 +36,10 @@ func (a *Arena) NewScheduler() *Scheduler {
 		// Every event still queued in the dead scheduler joins the new
 		// free list; recycle drops their callbacks so retained closures
 		// are released.
-		free := p.free
 		for _, e := range p.heap {
-			e.gen++
-			e.fn = nil
-			e.label = ""
-			e.cancel = false
-			e.next = free
-			free = e
+			p.recycle(e)
 		}
-		s.free = free
+		s.free = p.free
 		s.heap = p.heap[:0]
 		p.heap = nil
 		p.free = nil

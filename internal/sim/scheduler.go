@@ -11,6 +11,8 @@ type event struct {
 	at     Time
 	seq    uint64 // tie-breaker: FIFO among events at the same instant
 	fn     func()
+	argFn  func(any) // set instead of fn by AtArg, which runs argFn(arg)
+	arg    any
 	label  string
 	gen    uint32 // incremented on recycle; EventRefs must match to act
 	cancel bool
@@ -66,6 +68,16 @@ func (r EventRef) Pending() bool { return r.live() && !r.e.cancel }
 // is lazy — a cancelled event stays queued until its instant is reached and
 // is skipped and reclaimed then — which is why Pending() counts cancelled
 // events that have not yet been popped.
+//
+// The scheduler's own bookkeeping is allocation-free, but a callback is
+// not: a closure or a method value built at the call site is a heap object
+// per event. Hot-path components therefore bind each callback once — a
+// method value stored in a field when the component is built — and keep
+// the per-event state it needs in fields, not in captured locals. AtArg
+// covers the one case a field cannot: a callback whose subject differs per
+// event (the medium's per-transmission lock and rx-complete handlers)
+// takes it as a pointer argument. The same pattern is what makes that
+// state visible to snapshot and restore (see state.go).
 type Scheduler struct {
 	now    Time
 	heap   []*event // 4-ary min-heap ordered by (at, seq)
@@ -102,7 +114,7 @@ func (s *Scheduler) alloc() *event {
 // EventRef issued for it and releasing its callback.
 func (s *Scheduler) recycle(e *event) {
 	e.gen++
-	e.fn = nil
+	e.fn, e.argFn, e.arg = nil, nil, nil
 	e.label = ""
 	e.cancel = false
 	e.next = s.free
@@ -112,14 +124,31 @@ func (s *Scheduler) recycle(e *event) {
 // At schedules fn to run at the absolute instant t. Scheduling in the past
 // panics: it is always a logic error in a discrete-event model.
 func (s *Scheduler) At(t Time, label string, fn func()) EventRef {
+	e := s.schedule(t, label)
+	e.fn = fn
+	return EventRef{e: e, gen: e.gen}
+}
+
+// AtArg schedules fn(arg) at the absolute instant t. It orders exactly
+// like At. With fn bound once and arg a pointer, arming the event
+// allocates nothing: a pointer stored in an interface is not boxed.
+func (s *Scheduler) AtArg(t Time, label string, fn func(any), arg any) EventRef {
+	e := s.schedule(t, label)
+	e.argFn, e.arg = fn, arg
+	return EventRef{e: e, gen: e.gen}
+}
+
+// schedule queues a recycled event at t, leaving its callback to the
+// caller.
+func (s *Scheduler) schedule(t Time, label string) *event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", label, t, s.now))
 	}
 	s.seq++
 	e := s.alloc()
-	e.at, e.seq, e.fn, e.label = t, s.seq, fn, label
+	e.at, e.seq, e.label = t, s.seq, label
 	s.push(e)
-	return EventRef{e: e, gen: e.gen}
+	return e
 }
 
 // After schedules fn to run d after the current instant.
@@ -224,9 +253,13 @@ func (s *Scheduler) Step() bool {
 	}
 	s.now = e.at
 	s.ran++
-	fn := e.fn
+	fn, argFn, arg := e.fn, e.argFn, e.arg
 	s.recycle(e)
-	fn()
+	if argFn != nil {
+		argFn(arg)
+	} else {
+		fn()
+	}
 	return true
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -339,6 +340,95 @@ func TestSchedulerFreeListReuse(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state At+Step allocates %v per run, want 0", allocs)
+	}
+}
+
+// argCounter is a bound-once AtArg target: its handler is a method value
+// built once, and the event's subject travels as the argument.
+type argCounter struct {
+	log   []int
+	bumpF func(any)
+}
+
+type argSubject struct{ id int }
+
+func (c *argCounter) bump(arg any) { c.log = append(c.log, arg.(*argSubject).id) }
+
+// TestSchedulerAtArgOrdersWithAt: AtArg events share At's (at, seq) order,
+// FIFO among events at one instant whichever form armed them, and run
+// their bound handler with the argument they were armed with.
+func TestSchedulerAtArgOrdersWithAt(t *testing.T) {
+	s := NewScheduler()
+	c := &argCounter{}
+	c.bumpF = c.bump
+	s.AtArg(20, "arg-1", c.bumpF, &argSubject{1})
+	s.At(10, "plain-0", func() { c.log = append(c.log, 0) })
+	s.At(20, "plain-2", func() { c.log = append(c.log, 2) })
+	s.AtArg(20, "arg-3", c.bumpF, &argSubject{3})
+	cancelled := s.AtArg(20, "arg-x", c.bumpF, &argSubject{99})
+	s.Cancel(cancelled)
+	s.Run()
+	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(c.log, want) {
+		t.Fatalf("ran %v, want %v", c.log, want)
+	}
+}
+
+// TestSchedulerAtArgAllocatesNothing: a bound handler with a pointer
+// argument arms and runs with no allocation, and recycling drops the
+// argument so a reclaimed event holds nothing alive.
+func TestSchedulerAtArgAllocatesNothing(t *testing.T) {
+	s := NewScheduler()
+	c := &argCounter{log: make([]int, 0, 512)}
+	c.bumpF = c.bump
+	subj := &argSubject{7}
+	s.AtArg(1, "warm", c.bumpF, subj)
+	s.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		s.AtArg(s.Now().Add(Microsecond), "steady", c.bumpF, subj)
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state AtArg+Step allocates %v per run, want 0", allocs)
+	}
+	if e := s.free; e == nil || e.arg != nil || e.argFn != nil {
+		t.Fatal("a recycled AtArg event still holds its handler or argument")
+	}
+}
+
+// TestSchedulerAtArgSnapshotRestore: the argument is an interface field
+// of the queued event, so a snapshot reaches the pointee and a restore
+// rolls its state back before the replayed event reads it.
+func TestSchedulerAtArgSnapshotRestore(t *testing.T) {
+	s := NewScheduler()
+	c := &argCounter{}
+	c.bumpF = c.bump
+	subj := &argSubject{1}
+	s.AtArg(10, "arg", c.bumpF, subj)
+	snap := s.Snapshot()
+	subj.id = 2 // mutated after the capture, reachable only via the event
+	s.Run()
+	s.Restore(snap)
+	s.Run()
+	if want := []int{2, 1}; !reflect.DeepEqual(c.log, want) {
+		t.Fatalf("ran %v, want %v (the replay must see the restored argument)", c.log, want)
+	}
+}
+
+// TestArenaRecyclesQueuedAtArgEvents: an arena hands the events still
+// queued in a dead scheduler to the next one. A recycled AtArg event must
+// come back clean, or an At reusing it would run the stale handler.
+func TestArenaRecyclesQueuedAtArgEvents(t *testing.T) {
+	a := NewArena()
+	s := a.NewScheduler()
+	c := &argCounter{}
+	c.bumpF = c.bump
+	s.AtArg(10, "left-queued", c.bumpF, &argSubject{1})
+	s = a.NewScheduler()
+	ran := false
+	s.At(10, "plain", func() { ran = true })
+	s.Run()
+	if !ran || len(c.log) != 0 {
+		t.Fatalf("plain ran=%t, stale handler ran %v times", ran, len(c.log))
 	}
 }
 

@@ -30,7 +30,13 @@ import (
 //     mutable local captured ONLY by a closure is invisible to the walk and
 //     will not be rolled back. Snapshot-compatible code must keep mutable
 //     state in struct fields reachable from a root (internal/simtest's fork
-//     swarm enforces this empirically across randomized worlds).
+//     swarm enforces this empirically across randomized worlds). The
+//     pattern that guarantees it is "bind once, keep state in fields": a
+//     component binds each callback as a method value when it is built,
+//     and whatever an event needs (a window width, an armed epoch, a frame
+//     to send) lives in the component's fields, where the walk sees it.
+//     An AtArg event's argument is an interface field of the event, so a
+//     pointer passed there is walked like any other.
 //   - It does not traverse into channels or strings (immutable/opaque).
 //   - It only manages objects whose types live in this module, plus
 //     math/rand's Rand, whose Read position is stream state (the generator
