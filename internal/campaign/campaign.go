@@ -45,6 +45,10 @@ type Warmup struct {
 	Arena *sim.Arena
 	// Ctx is the campaign's context.
 	Ctx context.Context
+	// CollectObs is the runner's CollectObs: the point's trials receive a
+	// hub (Trial.Obs) only when it is set, so a warmed environment needs
+	// to record observability only then.
+	CollectObs bool
 }
 
 // WarmupFunc builds a point's warmed environment — typically a simulated

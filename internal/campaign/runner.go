@@ -159,7 +159,7 @@ func (r *Runner) RunContext(ctx context.Context, spec *Spec) (*Outcome, error) {
 				t.Ctx = ctx
 				if t.warmup != nil {
 					if !warm.valid || warm.point != t.Point {
-						warm = runWarmup(t, ctx)
+						warm = runWarmup(t, ctx, r.CollectObs)
 						ctr.warmups.Add(1)
 					}
 					t.Warm, t.WarmErr = warm.value, warm.err
@@ -245,7 +245,7 @@ type warmSlot struct {
 }
 
 // runWarmup builds one point's warmed environment with panic recovery.
-func runWarmup(t Trial, ctx context.Context) (slot warmSlot) {
+func runWarmup(t Trial, ctx context.Context, collectObs bool) (slot warmSlot) {
 	slot = warmSlot{valid: true, point: t.Point}
 	defer func() {
 		if v := recover(); v != nil {
@@ -254,11 +254,12 @@ func runWarmup(t Trial, ctx context.Context) (slot warmSlot) {
 		}
 	}()
 	slot.value, slot.err = t.warmup(Warmup{
-		Campaign: t.Campaign,
-		Point:    t.Point,
-		Seed:     t.warmSeed,
-		Arena:    t.Arena,
-		Ctx:      ctx,
+		Campaign:   t.Campaign,
+		Point:      t.Point,
+		Seed:       t.warmSeed,
+		Arena:      t.Arena,
+		Ctx:        ctx,
+		CollectObs: collectObs,
 	})
 	return slot
 }

@@ -169,3 +169,30 @@ func TestWarmupSeedsAreStableAndDistinctFromTrialSeeds(t *testing.T) {
 		}
 	}
 }
+
+func TestWarmupSeesWhetherTheRunnerCollects(t *testing.T) {
+	for _, collect := range []bool{false, true} {
+		var saw []bool
+		spec := &Spec{Name: "s", SeedBase: 7, Points: []Point{{
+			Label:  "a",
+			Trials: 2,
+			Warmup: func(u Warmup) (any, error) {
+				saw = append(saw, u.CollectObs)
+				return struct{}{}, nil
+			},
+			Run: func(t Trial) (any, error) { return t.Obs != nil, nil },
+		}}}
+		out, err := (&Runner{Workers: 1, CollectObs: collect}).Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(saw) != 1 || saw[0] != collect {
+			t.Fatalf("CollectObs=%v: warmup saw %v", collect, saw)
+		}
+		for _, res := range out.Results {
+			if res.Value.(bool) != collect {
+				t.Fatalf("CollectObs=%v: trial %d got a hub=%v", collect, res.Index, res.Value)
+			}
+		}
+	}
+}

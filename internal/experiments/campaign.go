@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"injectable/internal/campaign"
+	"injectable/internal/obs"
 )
 
 // SweepPoint is one configuration of a Fig. 9-style sweep, bound to the
@@ -89,16 +90,7 @@ func BuildSweep(opts Options, name string, pts []SweepPoint) *campaign.Spec {
 		switch opts.Warmup {
 		case WarmupShared:
 			point.WarmSeed = WarmTrialSeed(base)
-			point.Warmup = func(u campaign.Warmup) (any, error) {
-				c := cfg
-				c.Arena = u.Arena
-				c.Ctx = u.Ctx
-				wt, err := NewWarmTrial(c, u.Seed)
-				if err != nil {
-					return nil, err
-				}
-				return wt, nil
-			}
+			point.Warmup = warmupFor(cfg)
 			point.Run = func(t campaign.Trial) (any, error) {
 				if t.WarmErr != nil {
 					// Unwrapped, and paired with a zero TrialResult — exactly
@@ -129,6 +121,26 @@ func BuildSweep(opts Options, name string, pts []SweepPoint) *campaign.Spec {
 		spec.Points = append(spec.Points, point)
 	}
 	return spec
+}
+
+// warmupFor returns the warmup of a forked point with configuration cfg:
+// NewWarmTrial on the worker's arena, recording into a hub of its own only
+// when the runner collects observability.
+func warmupFor(cfg TrialConfig) campaign.WarmupFunc {
+	return func(u campaign.Warmup) (any, error) {
+		c := cfg
+		c.Arena = u.Arena
+		c.Ctx = u.Ctx
+		c.Obs = nil
+		if u.CollectObs {
+			c.Obs = obs.NewHub()
+		}
+		wt, err := NewWarmTrial(c, u.Seed)
+		if err != nil {
+			return nil, err
+		}
+		return wt, nil
+	}
 }
 
 // RunSweepPoints executes pre-built points as one campaign and collates

@@ -54,16 +54,7 @@ func counterfactualSpec(opts Options, pts []SweepPoint) *campaign.Spec {
 			Trials:   trials,
 			Seed:     func(i int) uint64 { return base + uint64(i) },
 			WarmSeed: WarmTrialSeed(base),
-			Warmup: func(u campaign.Warmup) (any, error) {
-				c := cfg
-				c.Arena = u.Arena
-				c.Ctx = u.Ctx
-				wt, err := NewWarmTrial(c, u.Seed)
-				if err != nil {
-					return nil, err
-				}
-				return wt, nil
-			},
+			Warmup:   warmupFor(cfg),
 			Run: func(t campaign.Trial) (any, error) {
 				if t.WarmErr != nil {
 					return CounterfactualOutcome{}, t.WarmErr

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 
 	"injectable/internal/host"
 	"injectable/internal/obs"
@@ -34,38 +35,50 @@ func WarmTrialSeed(base uint64) uint64 {
 type WarmTrial struct {
 	cfg  TrialConfig
 	tw   *TrialWorld
-	hub  *obs.Hub
+	hub  *obs.Hub // the warm world's hub; nil when built uninstrumented
 	snap *host.Snapshot
 }
 
 // NewWarmTrial builds a world for cfg seeded with warmSeed (cfg.Seed is
-// overridden), establishes the connection and snapshots. cfg.Obs is
-// ignored: the warm world records into a private hub whose post-warm
-// contents replay into every fork, and RunFork absorbs it into the
-// per-trial sink — so each trial's observability is exactly what a
-// self-warming trial would have recorded.
+// overridden), establishes the connection and snapshots. cfg.Obs is the
+// warm world's own hub, not a trial's sink. When it is non-nil the world
+// records into it, its post-warm contents replay into every fork, and
+// RunFork absorbs it into the per-trial sink, so each trial's
+// observability is exactly what a self-warming trial would have recorded.
+// When it is nil the world is built uninstrumented: its forks record
+// nothing and restore no metrics, and RunFork refuses a sink. Campaign
+// warmups pass a hub only when the runner collects (campaign.Warmup's
+// CollectObs).
 func NewWarmTrial(cfg TrialConfig, warmSeed uint64) (*WarmTrial, error) {
 	cfg = cfg.WithDefaults()
 	cfg.Seed = warmSeed
-	hub := obs.NewHub()
-	tw, err := BuildTrialWorld(cfg, Instrumentation{Obs: hub})
+	tw, err := BuildTrialWorld(cfg, Instrumentation{Obs: cfg.Obs})
 	if err != nil {
 		return nil, err
 	}
 	if err := tw.warm(cfg); err != nil {
 		return nil, err
 	}
-	wt := &WarmTrial{cfg: cfg, tw: tw, hub: hub}
+	wt := &WarmTrial{cfg: cfg, tw: tw, hub: cfg.Obs}
 	wt.snap = tw.W.Snapshot()
 	return wt, nil
 }
 
+// errForkUninstrumented is RunFork's refusal of a sink it cannot fill.
+var errForkUninstrumented = errors.New("experiments: RunFork was given a metrics sink, but its WarmTrial was built without a hub (TrialConfig.Obs nil), so the trial would record nothing")
+
 // RunFork runs one trial from the snapshot: restore, rekey every random
-// stream with the trial seed, race the injection, absorb the world's
-// private hub (warm-phase metrics and forensics included) into sink.
-// sink may be nil (no observability). Any number of RunFork calls replay
-// from the same snapshot; equal trial seeds give byte-identical results.
+// stream with the trial seed, race the injection, absorb the warm world's
+// hub (warm-phase metrics and forensics included) into sink. sink may be
+// nil (no observability). A non-nil sink needs a WarmTrial built with a
+// hub; on one built without, RunFork runs nothing and returns an error,
+// so metrics never go missing silently. Any number of RunFork calls
+// replay from the same snapshot; equal trial seeds give byte-identical
+// results.
 func (wt *WarmTrial) RunFork(trialSeed uint64, sink *obs.Hub, ctx context.Context) (TrialResult, error) {
+	if sink != nil && wt.hub == nil {
+		return TrialResult{}, errForkUninstrumented
+	}
 	wt.tw.W.Fork(wt.snap)
 	wt.tw.W.RekeyStreams(trialSeed)
 	cfg := wt.cfg
@@ -79,13 +92,17 @@ func (wt *WarmTrial) RunFork(trialSeed uint64, sink *obs.Hub, ctx context.Contex
 // world: build with the warm seed, warm identically, rekey with the trial
 // seed, attack. No snapshot is involved, so any divergence between this
 // and (NewWarmTrial + RunFork) indicts the snapshot/restore machinery.
-// cfg.Obs, when non-nil, receives the absorbed private hub like RunFork's
-// sink does.
+// cfg.Obs is the sink, as RunFork's: when it is non-nil the world records
+// into a private hub that is absorbed into it, and when it is nil the
+// world is built uninstrumented.
 func RunTrialWarmFresh(cfg TrialConfig, warmSeed, trialSeed uint64) (TrialResult, error) {
 	sink := cfg.Obs
 	cfg = cfg.WithDefaults()
 	cfg.Seed = warmSeed
-	hub := obs.NewHub()
+	var hub *obs.Hub
+	if sink != nil {
+		hub = obs.NewHub()
+	}
 	tw, err := BuildTrialWorld(cfg, Instrumentation{Obs: hub})
 	if err != nil {
 		return TrialResult{}, err
@@ -100,7 +117,8 @@ func RunTrialWarmFresh(cfg TrialConfig, warmSeed, trialSeed uint64) (TrialResult
 }
 
 // Forensics exposes the warm world's ledger records — the fork-side
-// counterpart of a trial hub's ledger for differential comparison.
+// counterpart of a trial hub's ledger for differential comparison. It is
+// empty for a WarmTrial built without a hub.
 func (wt *WarmTrial) Forensics() []obs.InjectionRecord {
 	return wt.hub.Led().Records()
 }

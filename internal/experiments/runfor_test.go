@@ -219,7 +219,7 @@ func TestRunTrialStopsOnceDecided(t *testing.T) {
 
 func TestRunForkStopsOnceDecidedWithUnchangedForensics(t *testing.T) {
 	cfg := fig9Trial()
-	wt, err := NewWarmTrial(cfg, WarmTrialSeed(cfg.Seed))
+	wt, err := NewWarmTrial(instrumented(cfg), WarmTrialSeed(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +238,9 @@ func TestRunForkStopsOnceDecidedWithUnchangedForensics(t *testing.T) {
 	// The decision is final: running out the rest of the budget adds no
 	// attempt and changes no forensics record.
 	recs := append([]obs.InjectionRecord(nil), wt.Forensics()...)
+	if len(recs) == 0 {
+		t.Fatal("the forked trial recorded no forensics to compare")
+	}
 	attempts := counterValue(wt.hub.Snapshot(), "inject.attempts")
 	if err := runFor(wt.tw.W, wt.cfg.SimBudget-span, nil, nil); err != nil {
 		t.Fatal(err)

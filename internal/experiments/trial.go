@@ -127,7 +127,9 @@ type TrialConfig struct {
 	SimBudget sim.Duration
 	// Obs collects metrics and injection forensics from the trial's world
 	// (nil = no observability; campaign runs thread their per-trial hub
-	// through here).
+	// through here). For NewWarmTrial it is the warm world's own hub,
+	// which every fork restores and RunFork absorbs into its sink, and nil
+	// builds the warm world uninstrumented.
 	Obs *obs.Hub
 	// Arena recycles simulation allocations from the previous trial run on
 	// it (nil = fresh allocations; campaign workers thread their

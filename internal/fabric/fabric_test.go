@@ -137,8 +137,9 @@ func TestFabricByteIdentical(t *testing.T) {
 
 // flakyWorker wraps a healthy worker handler and kills the connection of
 // the first `kills` requests — a worker crashing mid-shard from the
-// coordinator's point of view.
-func flakyWorker(t *testing.T, kills int) string {
+// coordinator's point of view. onDrop, when non-nil, runs after each
+// killed connection.
+func flakyWorker(t *testing.T, kills int, onDrop func()) string {
 	t.Helper()
 	srv := serve.NewServer(serve.Config{QueueCap: 32, JobWorkers: 1, TrialWorkers: 2})
 	t.Cleanup(srv.Close)
@@ -154,6 +155,27 @@ func flakyWorker(t *testing.T, kills int) string {
 				t.Fatal(err)
 			}
 			conn.Close() // mid-request connection drop
+			if onDrop != nil {
+				onDrop()
+			}
+			return
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	return hs.URL
+}
+
+// gatedWorker boots a healthy worker daemon whose requests wait until
+// gate closes (or the request is abandoned), and returns its base URL.
+func gatedWorker(t *testing.T, gate <-chan struct{}) string {
+	t.Helper()
+	srv := serve.NewServer(serve.Config{QueueCap: 32, JobWorkers: 1, TrialWorkers: 2})
+	t.Cleanup(srv.Close)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-gate:
+		case <-r.Context().Done():
 			return
 		}
 		srv.Handler().ServeHTTP(w, r)
@@ -168,11 +190,20 @@ func flakyWorker(t *testing.T, kills int) string {
 func TestFabricSurvivesWorkerDeath(t *testing.T) {
 	want := serialStream(t)
 	hub := obs.NewHub()
-	healthy := startWorkers(t, 1)
-	dying := flakyWorker(t, 1000) // never recovers
+	// The healthy worker holds its requests until the dying one has
+	// dropped two connections: otherwise it can drain all six shards
+	// before the dying worker fails twice, and no worker is lost.
+	var drops atomic.Int64
+	twoDropped := make(chan struct{})
+	dying := flakyWorker(t, 1000, func() { // never recovers
+		if drops.Add(1) == 2 {
+			close(twoDropped)
+		}
+	})
+	healthy := gatedWorker(t, twoDropped)
 	var merged bytes.Buffer
 	rep, err := Run(context.Background(), Config{
-		Workers:        []string{dying, healthy[0]},
+		Workers:        []string{dying, healthy},
 		Hub:            hub,
 		WorkerFailures: 2,
 	}, plan(t, 0), &merged)
@@ -198,7 +229,7 @@ func TestFabricSurvivesWorkerDeath(t *testing.T) {
 func TestFabricAllWorkersLost(t *testing.T) {
 	var merged bytes.Buffer
 	_, err := Run(context.Background(), Config{
-		Workers:        []string{flakyWorker(t, 1000)},
+		Workers:        []string{flakyWorker(t, 1000, nil)},
 		WorkerFailures: 2,
 	}, plan(t, 0), &merged)
 	if err == nil {

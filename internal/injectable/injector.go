@@ -138,6 +138,18 @@ type Injector struct {
 	fireFn, txDoneFn, timeoutFn func()
 	responseFn                  func(medium.Received)
 
+	// The sniffer hooks an injection chains onto, bound once. While one
+	// is installed, its hooked flag is set and prev* holds the callback it
+	// replaced and calls on. A hook left installed by a finished injection
+	// (the event-close hook after a connection-lost finish, the lost hook
+	// after any finish) is reused by the next Inject, never chained onto
+	// itself.
+	eventClosedFn                 func(*ConnState)
+	lostFn                        func()
+	prevEventClosed               func(*ConnState)
+	prevLost                      func()
+	eventClosedHooked, lostHooked bool
+
 	// OnAttempt observes every settled injection attempt (instrumentation /
 	// invariant checking). It fires after the attempt is recorded, before
 	// any retry is armed.
@@ -177,6 +189,8 @@ func NewInjector(stack *link.Stack, sniffer *Sniffer, cfg InjectorConfig) *Injec
 	inj.txDoneFn = inj.txDone
 	inj.timeoutFn = inj.timeout
 	inj.responseFn = inj.onResponse
+	inj.eventClosedFn = inj.onEventClosed
+	inj.lostFn = inj.onLost
 	return inj
 }
 
@@ -200,26 +214,35 @@ func (inj *Injector) InjectDynamic(build func(st *ConnState) pdu.DataPDU, done f
 	inj.active = &injection{build: build, done: done, guard: inj.cfg.Guard}
 	// A dying connection (e.g. the MIC-failure DoS on an encrypted link)
 	// must settle the injection rather than stall it.
-	prevLost := inj.sniffer.OnLost
-	inj.sniffer.OnLost = func() {
-		inj.sniffer.OnLost = prevLost
-		if prevLost != nil {
-			prevLost()
-		}
-		if inj.active != nil {
-			inj.active.report.ConnectionLost = true
-			inj.finish()
-		}
+	if !inj.lostHooked {
+		inj.prevLost = inj.sniffer.OnLost
+		inj.sniffer.OnLost = inj.lostFn
+		inj.lostHooked = true
 	}
 	inj.armNextAttempt()
 	return nil
+}
+
+// onLost is the sniffer's OnLost while an injection is hooked: it unhooks,
+// calls the callback it replaced, and settles a running injection as
+// connection-lost.
+func (inj *Injector) onLost() {
+	prev := inj.prevLost
+	inj.sniffer.OnLost, inj.prevLost, inj.lostHooked = prev, nil, false
+	if prev != nil {
+		prev()
+	}
+	if inj.active != nil {
+		inj.active.report.ConnectionLost = true
+		inj.finish()
+	}
 }
 
 // armNextAttempt waits for the next event boundary with fresh slave
 // sequence state, then schedules the race.
 func (inj *Injector) armNextAttempt() {
 	if inj.active == nil {
-		return // a stale event-close wrapper fired after the run finished
+		return // a stale event-close hook fired after the run finished
 	}
 	st := inj.sniffer.State()
 	if st.AnchorKnown && st.HaveSlaveSeq && st.MissedEvents == 0 &&
@@ -228,14 +251,23 @@ func (inj *Injector) armNextAttempt() {
 		return
 	}
 	// Not ready: observe one more event.
-	prev := inj.sniffer.OnEventClosed
-	inj.sniffer.OnEventClosed = func(s *ConnState) {
-		inj.sniffer.OnEventClosed = prev
-		if prev != nil {
-			prev(s)
-		}
-		inj.armNextAttempt()
+	if !inj.eventClosedHooked {
+		inj.prevEventClosed = inj.sniffer.OnEventClosed
+		inj.sniffer.OnEventClosed = inj.eventClosedFn
+		inj.eventClosedHooked = true
 	}
+}
+
+// onEventClosed is the sniffer's OnEventClosed while an attempt waits for
+// a suitable event: it unhooks, calls the callback it replaced, and tries
+// again.
+func (inj *Injector) onEventClosed(s *ConnState) {
+	prev := inj.prevEventClosed
+	inj.sniffer.OnEventClosed, inj.prevEventClosed, inj.eventClosedHooked = prev, nil, false
+	if prev != nil {
+		prev(s)
+	}
+	inj.armNextAttempt()
 }
 
 // safeEvent avoids injecting across a procedure instant, where the

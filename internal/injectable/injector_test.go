@@ -320,3 +320,86 @@ func TestEncryptedSlaveHijackFails(t *testing.T) {
 		t.Fatal("slave hijack claimed success on an encrypted connection")
 	}
 }
+
+// TestInjectAfterConnectionLossReusesItsHook: an injection cut short by
+// connection loss leaves its event-close hook installed, and the next
+// Inject must take that hook over rather than chain a second one onto it —
+// a chained pair would arm two attempts per closed event. The callbacks
+// the hooks replaced still run exactly once per event and per loss.
+func TestInjectAfterConnectionLossReusesItsHook(t *testing.T) {
+	rig := newAttackRig(t, 5, 36)
+	rig.connectAndSync(t)
+	var closed []uint16
+	lost := 0
+	rig.sniffer.OnEventClosed = func(st *ConnState) { closed = append(closed, st.EventCount) }
+	rig.sniffer.OnLost = func() { lost++ }
+	frame := ForgeATTWriteCommand(rig.bulb.ControlHandle(), devices.PowerCommand(true))
+
+	// The central leaves; an injection started now waits on dead air
+	// until the sniffer declares the connection lost.
+	rig.phone.Central.Conn().Terminate()
+	rig.w.RunFor(200 * sim.Millisecond)
+	var first *Report
+	if err := rig.injector.Inject(frame, func(r Report) { first = &r }); err != nil {
+		t.Fatal(err)
+	}
+	rig.w.RunFor(10 * sim.Second)
+	if first == nil || !first.ConnectionLost || first.Success {
+		t.Fatalf("first injection = %+v, want settled as connection-lost", first)
+	}
+	if lost != 1 {
+		t.Fatalf("the replaced OnLost ran %d times, want 1", lost)
+	}
+	if !rig.injector.eventClosedHooked {
+		t.Fatal("the connection-lost finish left no event-close hook; the case under test did not arise")
+	}
+
+	// Reconnect, and inject again before the new connection's first event
+	// closes, while the stale hook is still installed.
+	rig.sniffer.Start()
+	rig.bulb.Peripheral.StartAdvertising()
+	rig.phone.Connect(rig.bulb.Peripheral.Device.Address())
+	deadline := rig.w.Now().Add(5 * sim.Second)
+	for !rig.sniffer.Following() && rig.w.Now() < deadline {
+		rig.w.Sched.Step()
+	}
+	if !rig.sniffer.Following() {
+		t.Fatal("the sniffer did not follow the new connection")
+	}
+	before := len(closed)
+	var second *Report
+	if err := rig.injector.Inject(frame, func(r Report) { second = &r }); err != nil {
+		t.Fatal(err)
+	}
+	rig.w.RunFor(20 * sim.Second)
+	if second == nil || !second.Success || !rig.bulb.On {
+		t.Fatalf("second injection = %+v (bulb on=%t), want a success", second, rig.bulb.On)
+	}
+	events := map[uint16]bool{}
+	for _, a := range second.Attempts {
+		if events[a.Event] {
+			t.Fatalf("two attempts at event %d: %+v", a.Event, second.Attempts)
+		}
+		events[a.Event] = true
+	}
+	// Events an attempt takes over close without the sniffer, so the
+	// counts skip those; none may repeat.
+	for i := before + 1; i < len(closed); i++ {
+		if closed[i] <= closed[i-1] {
+			t.Fatalf("the replaced OnEventClosed saw events %v", closed[before:])
+		}
+	}
+	if len(closed) == before {
+		t.Fatal("the replaced OnEventClosed never ran on the new connection")
+	}
+	if rig.injector.eventClosedHooked {
+		t.Fatal("the successful injection left its event-close hook installed")
+	}
+
+	// The next loss reaches the replaced OnLost once more.
+	rig.phone.Central.Conn().Terminate()
+	rig.w.RunFor(10 * sim.Second)
+	if lost != 2 {
+		t.Fatalf("the replaced OnLost ran %d times after the second loss, want 2", lost)
+	}
+}

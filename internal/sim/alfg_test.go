@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// alfgDraws crosses every boundary of the lazy fill: the last draw that
-// fills a tap word (273), the last that fills a feed word (334) and the
-// feed's wrap onto words written by earlier draws (607 and beyond).
+// alfgDraws crosses every boundary of the generator: the last draw read
+// straight from the seed (273), the draw that builds the register (274),
+// the feed's first pass over the register (334) and its wrap onto words
+// written by earlier draws (607 and beyond).
 const alfgDraws = 1500
 
 var alfgEdgeSeeds = []int64{
@@ -52,7 +53,7 @@ func TestALFGMatchesMathRand(t *testing.T) {
 }
 
 func TestALFGReseedMatchesFreshSource(t *testing.T) {
-	for _, drawn := range []int{0, 1, 100, 273, 333, 334, 1000} {
+	for _, drawn := range []int{0, 1, 100, 273, 274, 333, 334, 1000} {
 		for _, seed := range alfgSeeds(20) {
 			var src alfg
 			src.Seed(^seed)
@@ -65,30 +66,74 @@ func TestALFGReseedMatchesFreshSource(t *testing.T) {
 	}
 }
 
-func TestALFGSnapshotMidFillReplays(t *testing.T) {
-	const seed = 987654321
-	g := NewRNG(seed)
-	for i := 0; i < 10; i++ {
-		g.Uint64()
-	}
-	snap := g.Snapshot()
-	first := make([]uint64, alfgDraws)
-	for i := range first {
-		first[i] = g.Uint64()
-	}
-	ref := rand.NewSource(seed).(rand.Source64)
-	for i := 0; i < 10; i++ {
-		ref.Uint64()
-	}
-	for i, got := range first {
-		if want := ref.Uint64(); got != want {
-			t.Fatalf("draw %d = %#x, want math/rand's %#x", 11+i, got, want)
+func TestALFGBuildsRegisterOnDraw274(t *testing.T) {
+	for _, seed := range alfgSeeds(20) {
+		var src alfg
+		src.Seed(seed)
+		for i := 0; i < alfgTap; i++ {
+			src.Uint64()
+		}
+		if src.vec != nil {
+			t.Fatalf("seed %d: register built within the first %d draws", seed, alfgTap)
+		}
+		src.Uint64()
+		if src.vec == nil {
+			t.Fatalf("seed %d: draw %d built no register", seed, alfgTap+1)
 		}
 	}
-	g.Restore(snap)
-	for i, want := range first {
-		if got := g.Uint64(); got != want {
-			t.Fatalf("draw %d after restore = %#x, want %#x", 11+i, got, want)
+}
+
+func TestRNGFirstDrawAllocatesNothing(t *testing.T) {
+	g := NewRNG(42)
+	seed := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		g.Reseed(seed)
+		g.Float64()
+		g.Intn(37)
+		g.NormFloat64()
+	})
+	if allocs != 0 {
+		t.Fatalf("seeding and drawing allocated %v times per run, want 0", allocs)
+	}
+}
+
+// TestALFGSnapshotReplays restores a stream captured before and after its
+// register is built: the capture holds the seed position alone in the
+// first case and the register in the second, and either way the draws
+// after a restore repeat math/rand's.
+func TestALFGSnapshotReplays(t *testing.T) {
+	const seed = 987654321
+	for _, drawn := range []int{10, alfgTap, alfgTap + 1, 700} {
+		g := NewRNG(seed)
+		for i := 0; i < drawn; i++ {
+			g.Uint64()
+		}
+		if built := g.a.vec != nil; built != (drawn > alfgTap) {
+			t.Fatalf("after %d draws: register built=%v", drawn, built)
+		}
+		snap := g.Snapshot()
+		first := make([]uint64, alfgDraws)
+		for i := range first {
+			first[i] = g.Uint64()
+		}
+		ref := rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < drawn; i++ {
+			ref.Uint64()
+		}
+		for i, got := range first {
+			if want := ref.Uint64(); got != want {
+				t.Fatalf("after %d: draw %d = %#x, want math/rand's %#x", drawn, drawn+1+i, got, want)
+			}
+		}
+		g.Restore(snap)
+		if built := g.a.vec != nil; built != (drawn > alfgTap) {
+			t.Fatalf("after %d draws: restore left register built=%v", drawn, built)
+		}
+		for i, want := range first {
+			if got := g.Uint64(); got != want {
+				t.Fatalf("after %d: draw %d after restore = %#x, want %#x", drawn, drawn+1+i, got, want)
+			}
 		}
 	}
 }

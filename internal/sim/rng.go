@@ -20,11 +20,16 @@ import (
 // or reseeded: NewRNG, Reseed and Rekey only record the seed. A stream
 // that is never drawn from — a world's root, a seed-only derivation chain
 // — never pays for seeding. The generator is math/rand's, reimplemented
-// (alfg) so that seeding fills its 607-word register word by word as the
-// draws first read it: a stream drawn a handful of times pays for a
-// handful of words. The draws are exactly those of
+// (alfg) so that it needs no register for the first 273 draws after a
+// seeding and builds its 607-word register on draw 274: a stream drawn
+// fewer times never holds one. The RNG holds the rand.Rand and the alfg by
+// value, so a first draw allocates nothing. The draws are exactly those of
 // rand.New(rand.NewSource(seed)) seeded eagerly, and rand.Rand still turns
 // them into Float64, NormFloat64, Intn and the rest.
+//
+// An RNG must not be copied: its rand.Rand points at its own alfg, so a
+// copy would draw from the original's generator. Use the *RNG that NewRNG,
+// Child and ChildN return.
 //
 // An RNG is NOT goroutine-safe: concurrent draws from one stream race and
 // destroy reproducibility. Child/ChildN write to the root's registry, so
@@ -35,11 +40,14 @@ import (
 // trial index), and every other root outside a world is such a temporary.
 type RNG struct {
 	seed uint64
-	// r is the generator, built on the stream's first draw. seeded reports
-	// that r is positioned in seed's sequence; NewRNG, Reseed and Rekey
-	// leave it false so the next draw seeds r first.
-	r      *rand.Rand
+	// seeded reports that the generator is positioned in seed's sequence;
+	// NewRNG, Reseed and Rekey leave it false so the next draw seeds it
+	// first.
 	seeded bool
+	// r is the generator's distribution layer and a its source. r is zero
+	// until the stream's first draw points it at a.
+	r rand.Rand
+	a alfg
 	// reg is the registry shared by the root and every stream derived
 	// from it; nil until the root derives its first stream.
 	reg *rngRegistry
@@ -131,19 +139,15 @@ func (g *RNG) src() *rand.Rand {
 	if !g.seeded {
 		g.seedSource()
 	}
-	return g.r
+	return &g.r
 }
 
-// seedSource positions the generator at the start of seed's sequence,
-// building it if the stream has never been drawn from. Seeding only
-// reduces the seed; the register fills word by word as it is drawn. It is
-// kept out of src so that src stays small enough to inline into every
-// draw.
+// seedSource positions the generator at the start of seed's sequence.
+// Seeding only reduces the seed and resets rand.Rand's Read position;
+// alfg builds a register only if the stream is drawn past 273 times.
 func (g *RNG) seedSource() {
-	if g.r == nil {
-		g.r = rand.New(&alfg{})
-	}
-	g.r.Seed(int64(g.seed))
+	g.r = *rand.New(&g.a)
+	g.a.Seed(int64(g.seed))
 	g.seeded = true
 }
 

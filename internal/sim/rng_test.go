@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -182,7 +183,7 @@ func TestRNGSeedOnlyChainsBuildNoGenerator(t *testing.T) {
 	drawn := root.ChildN("trial", 5)
 	drawn.Uint64()
 	for i, g := range root.Streams() {
-		if built := g.r != nil; built != (g == drawn) {
+		if built := g.r != (rand.Rand{}); built != (g == drawn) {
 			t.Errorf("stream %d: generator built=%v, want %v (only drawn streams seed)", i, built, g == drawn)
 		}
 	}

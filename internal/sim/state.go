@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"unsafe"
@@ -38,12 +37,12 @@ import (
 //     An AtArg event's argument is an interface field of the event, so a
 //     pointer passed there is walked like any other.
 //   - It does not traverse into channels or strings (immutable/opaque).
-//   - It only manages objects whose types live in this module, plus
-//     math/rand's Rand, whose Read position is stream state (the generator
-//     it wraps is this package's alfg). Pointers to foreign types
-//     (testing.T, os.File, io.Writer implementations, …) are restored as
-//     pointers but their pointees are left alone: rolling back a *testing.T
-//     or a file's state would be actively wrong.
+//   - It only manages objects whose types live in this module. Pointers to
+//     foreign types (testing.T, os.File, io.Writer implementations, …) are
+//     restored as pointers but their pointees are left alone: rolling back
+//     a *testing.T or a file's state would be actively wrong. There is no
+//     exception: an RNG holds its math/rand.Rand by value, so the Rand's
+//     Read position is captured with the RNG's own bytes.
 //
 // Slices are saved as regions: the backing array contents over [0:cap] are
 // copied out and restored, so post-snapshot appends within capacity roll
@@ -68,12 +67,7 @@ func managedType(t reflect.Type) bool {
 		// only arise from module code in practice.
 		return true
 	}
-	if pp == modulePrefix || strings.HasPrefix(pp, modulePrefix+"/") {
-		return true
-	}
-	// rand.Rand, reached through RNG, is the one foreign type whose state
-	// is simulation state: its Read position is part of the stream.
-	return t == randType
+	return pp == modulePrefix || strings.HasPrefix(pp, modulePrefix+"/")
 }
 
 // objKey identifies a captured object: distinct types may share an address
@@ -163,7 +157,6 @@ func (w *walker) walkRoots(roots []any) {
 
 var (
 	rngType        = reflect.TypeOf(RNG{})
-	randType       = reflect.TypeOf(rand.Rand{})
 	arenaChunkType = reflect.TypeOf(arenaChunk(nil))
 )
 
