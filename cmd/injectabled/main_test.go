@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -148,10 +149,24 @@ func TestCoordinatorStatusSurface(t *testing.T) {
 	sig := make(chan os.Signal, 2)
 	signalCh = func() <-chan os.Signal { return sig }
 
+	// Each worker holds its first shard until the other has one too:
+	// otherwise the worker whose dispatch loop starts first can drain all
+	// six shards, and the other worker's trace lane stays empty.
 	workers := make([]string, 2)
+	var firstShards sync.WaitGroup
+	firstShards.Add(len(workers))
 	for i := range workers {
 		srv := serve.NewServer(serve.Config{QueueCap: 32, JobWorkers: 1, TrialWorkers: 2, Hub: obs.NewHub()})
-		hs := httptest.NewServer(srv.Handler())
+		var first sync.Once
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/run" {
+				first.Do(func() {
+					firstShards.Done()
+					firstShards.Wait()
+				})
+			}
+			srv.Handler().ServeHTTP(w, r)
+		}))
 		t.Cleanup(hs.Close)
 		t.Cleanup(srv.Close)
 		workers[i] = hs.URL

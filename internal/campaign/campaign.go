@@ -142,11 +142,13 @@ type Trial struct {
 	Obs *obs.Hub
 	// Arena is the worker-local simulation arena, reused across the trials
 	// a worker runs so each trial recycles its predecessor's scheduler
-	// events and frame buffers instead of re-allocating them. Trial
-	// functions thread it into the world they build
-	// (host.WorldConfig.Arena). May be nil (fresh allocations per trial);
-	// reuse never changes trial results — the arena carries no RNG or
-	// simulation state across trials.
+	// events and frame buffers instead of re-allocating them, and taken
+	// from (and returned to) a process-wide free list, so later runs reuse
+	// it too. Trial functions thread it into the world they build
+	// (host.WorldConfig.Arena) and must not keep arena-backed memory past
+	// their return. May be nil (fresh allocations per trial); reuse never
+	// changes trial results — the arena carries no RNG or simulation state
+	// across trials.
 	Arena *sim.Arena
 	// Ctx is the campaign's context (never nil under RunContext). Trial
 	// functions should observe it — directly or by threading it into the
@@ -188,14 +190,19 @@ func flatten(s *Spec) []Trial {
 	trials := make([]Trial, 0, s.TotalTrials())
 	ordinal := 0
 	for _, p := range s.Points {
+		// Default seeds are derived only where they are used: a derivation
+		// builds three streams and hashes their names, and every point the
+		// experiments layer builds brings its own Seed.
 		warmSeed := p.WarmSeed
-		if warmSeed == 0 {
+		if warmSeed == 0 && p.Warmup != nil {
 			warmSeed = DeriveWarmSeed(s.SeedBase, p.Label)
 		}
 		for i := 0; i < p.Trials; i++ {
-			seed := DeriveSeed(s.SeedBase, p.Label, i)
+			var seed uint64
 			if p.Seed != nil {
 				seed = p.Seed(i)
+			} else {
+				seed = DeriveSeed(s.SeedBase, p.Label, i)
 			}
 			trials = append(trials, Trial{
 				Campaign: s.Name,

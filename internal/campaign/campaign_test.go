@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"injectable/internal/sim"
 )
 
 // hashSpec is a cheap deterministic campaign: each trial draws from its
@@ -185,6 +187,72 @@ func TestTrialTimeout(t *testing.T) {
 	}
 	if out.Metrics.TimedOut != 1 || out.Metrics.Failed != 1 {
 		t.Fatalf("metrics = %+v", out.Metrics)
+	}
+}
+
+// TestTimedOutArenaNeverReturns: an attempt that exceeds Runner.Timeout
+// leaves its goroutine running on the trial's arena, so no later trial
+// may get that arena: not the retry, not the worker's next trials (even
+// though the retry succeeded) and not a later run, which takes its arenas
+// from the free list the first run's worker returns to. The abandoned
+// goroutine keeps writing to its arena until the test ends, so under
+// -race a reuse is also a reported race.
+func TestTimedOutArenaNeverReturns(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	var mu sync.Mutex
+	var abandoned *sim.Arena
+	got := map[*sim.Arena][]string{} // arena → the trials it was handed to
+	hung := false
+	spec := func(name string) *Spec {
+		return &Spec{Name: name, SeedBase: 1, Points: []Point{{
+			Label:  "p",
+			Trials: 6,
+			Run: func(tr Trial) (any, error) {
+				a := tr.Arena
+				mu.Lock()
+				hang := name == "first" && tr.Index == 0 && !hung
+				if hang {
+					hung, abandoned = true, a
+				} else {
+					got[a] = append(got[a], fmt.Sprintf("%s/%d", name, tr.Index))
+				}
+				mu.Unlock()
+				for hang {
+					select {
+					case <-release:
+						return nil, nil
+					default:
+						a.Bytes().Alloc(8)[0] = 1
+						time.Sleep(time.Millisecond)
+					}
+				}
+				if a != nil {
+					a.Bytes().Alloc(8)[0] = 2
+				}
+				return tr.Index, nil
+			},
+		}}}
+	}
+	out, err := (&Runner{Workers: 1, Timeout: 50 * time.Millisecond, Retries: 1}).Run(spec("first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := out.Results[0]; r.Attempts != 2 || r.Err != nil {
+		t.Fatalf("trial 0 = %+v, want a timed-out attempt and a successful retry", r)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := (&Runner{Workers: 2}).Run(spec(fmt.Sprintf("later%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if abandoned == nil {
+		t.Fatal("the hanging attempt ran without an arena")
+	}
+	if trials := got[abandoned]; len(trials) > 0 {
+		t.Fatalf("the timed-out attempt's arena was handed to %v", trials)
 	}
 }
 

@@ -144,10 +144,13 @@ func (r *Runner) RunContext(ctx context.Context, spec *Spec) (*Outcome, error) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			// Each worker owns one simulation arena, reused across its
-			// trials so steady-state trials recycle scheduler events and
-			// frame buffers instead of re-allocating them.
-			arena := sim.NewArena()
+			// Each worker holds one simulation arena for its whole run,
+			// reused across its trials so steady-state trials recycle
+			// scheduler events and frame buffers instead of re-allocating
+			// them. It comes from the process-wide free list and goes back
+			// when the worker ends, so the next run reuses it too.
+			arena := sim.TakeArena()
+			defer func() { sim.ReturnArena(arena) }()
 			// One warm slot per worker: the jobs channel delivers trials
 			// point-major, so a worker's points are non-decreasing and a
 			// single cached environment warms each point at most once per
@@ -164,12 +167,12 @@ func (r *Runner) RunContext(ctx context.Context, spec *Spec) (*Outcome, error) {
 					}
 					t.Warm, t.WarmErr = warm.value, warm.err
 				}
-				res := r.runTrial(id, t, ctr)
-				if res.TimedOut {
-					// The abandoned attempt goroutine may still be touching
-					// the arena (and any warm world built on it); hand the
-					// next trial a fresh one and re-warm.
-					arena = sim.NewArena()
+				res, abandoned := r.runTrial(id, t, ctr)
+				if abandoned {
+					// An abandoned attempt goroutine may still be touching
+					// the arena (and any warm world built on it): drop it,
+					// never to be returned, take another and re-warm.
+					arena = sim.TakeArena()
 					warm = warmSlot{}
 				}
 				resCh <- res
@@ -265,8 +268,10 @@ func runWarmup(t Trial, ctx context.Context, collectObs bool) (slot warmSlot) {
 }
 
 // runTrial runs one trial with retries, panic recovery and the deadline.
-func (r *Runner) runTrial(worker int, t Trial, ctr *counters) Result {
-	res := Result{
+// abandoned reports that an attempt timed out: its goroutine was left
+// running on the trial's arena, even if a later retry succeeded.
+func (r *Runner) runTrial(worker int, t Trial, ctr *counters) (res Result, abandoned bool) {
+	res = Result{
 		Campaign: t.Campaign,
 		Point:    t.Point,
 		Index:    t.Index,
@@ -288,6 +293,7 @@ func (r *Runner) runTrial(worker int, t Trial, ctr *counters) Result {
 			// The abandoned goroutine may still be using the arena; any
 			// retry below must not share it.
 			t.Arena = nil
+			abandoned = true
 		}
 		if res.Err == nil || attempt >= r.Retries {
 			break
@@ -298,7 +304,7 @@ func (r *Runner) runTrial(worker int, t Trial, ctr *counters) Result {
 		ctr.retried.Add(1)
 	}
 	res.Elapsed = time.Since(start)
-	return res
+	return res, abandoned
 }
 
 // attempt runs the trial function once, under the deadline if one is set.

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
+
+	"injectable/internal/campaign"
 
 	"injectable/internal/obs"
 	"injectable/internal/sim"
@@ -163,5 +167,85 @@ func TestRunCounterfactual(t *testing.T) {
 	}
 	if out.Injected.EffectObserved && !out.Causal {
 		t.Fatal("observed effect not attributed to the injection")
+	}
+}
+
+// TestWarmWorldCaptureObjects pins the size of a forked world's capture:
+// BenchmarkTrialForked's warm world (interval 36, warm seed
+// WarmTrialSeed(31000)) holds 72 objects. Each drawn stream's alfg is
+// captured once, with its RNG's bytes; a walk that followed the stream's
+// rand.Rand source pointer would capture six of them a second time.
+func TestWarmWorldCaptureObjects(t *testing.T) {
+	wt, err := NewWarmTrial(benchCfg(), WarmTrialSeed(31000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sim.CaptureRoots(wt.tw.W.SnapshotRoots()...).Objects(); n != 72 {
+		t.Fatalf("warm world capture holds %d objects, want 72", n)
+	}
+}
+
+// TestPooledArenasMatchFreshArenas: campaign workers take their arenas
+// from a process-wide free list, so a run reuses what an earlier run
+// returned. Two sequential runs on pooled arenas must stream the same
+// bytes as a run whose every trial and warmup builds on a fresh arena, in
+// both the fresh-world and the forked execution modes.
+func TestPooledArenasMatchFreshArenas(t *testing.T) {
+	pts := []SweepPoint{
+		{Label: "i25", SeedBase: 52000, Cfg: TrialConfig{Interval: 25}},
+		{Label: "i75", SeedBase: 53000, Cfg: TrialConfig{Interval: 75, Payload: PayloadColor}},
+	}
+	for _, warmup := range []string{"", WarmupShared} {
+		opts := Options{TrialsPerPoint: 3, SeedBase: 52000, Warmup: warmup}
+		// run streams the campaign, recording every arena its trials and
+		// warmups were handed; fresh swaps each for a new arena.
+		run := func(fresh bool) ([]byte, map[*sim.Arena]bool) {
+			t.Helper()
+			var mu sync.Mutex
+			seen := map[*sim.Arena]bool{}
+			note := func(a *sim.Arena) *sim.Arena {
+				if fresh {
+					a = sim.NewArena()
+				}
+				mu.Lock()
+				seen[a] = true
+				mu.Unlock()
+				return a
+			}
+			spec := BuildSweep(opts, "pooled", pts)
+			for i := range spec.Points {
+				p := &spec.Points[i]
+				run, warm := p.Run, p.Warmup
+				p.Run = func(tr campaign.Trial) (any, error) {
+					tr.Arena = note(tr.Arena)
+					return run(tr)
+				}
+				if warm != nil {
+					p.Warmup = func(u campaign.Warmup) (any, error) {
+						u.Arena = note(u.Arena)
+						return warm(u)
+					}
+				}
+			}
+			var buf bytes.Buffer
+			r := campaign.Runner{Workers: 2, Sinks: []campaign.Sink{campaign.NewBinary(&buf)}}
+			if _, err := r.Run(spec); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes(), seen
+		}
+		first, firstArenas := run(false)
+		second, secondArenas := run(false)
+		fresh, _ := run(true)
+		reused := false
+		for a := range secondArenas {
+			reused = reused || firstArenas[a]
+		}
+		if !reused {
+			t.Errorf("warmup %q: the second run reused none of the first run's arenas", warmup)
+		}
+		if !bytes.Equal(first, fresh) || !bytes.Equal(second, fresh) {
+			t.Errorf("warmup %q: pooled-arena streams differ from the fresh-arena stream", warmup)
+		}
 	}
 }

@@ -4,7 +4,7 @@
 //
 // The pieces mirror the in-process engine one level up:
 //
-//   - Planner: a validated job spec is split into contiguous point-range
+//   - Planner: an admitted job spec is split into contiguous point-range
 //     shards. Each shard is itself an ordinary serve.JobSpec carrying
 //     point_start/point_count, and its canonical key is the spec's
 //     SHA-256 dedup hash extended with the range — the same key on every
@@ -73,10 +73,11 @@ type Plan struct {
 	Shards []Shard
 }
 
-// PlanShards validates spec against the registry and splits it into at
-// most maxShards contiguous point-range shards (0 = one shard per point,
-// the finest grain). The spec must not itself carry a point range —
-// shards of shards would break the merged stream's identity.
+// PlanShards admits spec against the registry, compiles it once and
+// splits it into at most maxShards contiguous point-range shards (0 = one
+// shard per point, the finest grain). The spec must not itself carry a
+// point range — shards of shards would break the merged stream's
+// identity.
 func PlanShards(reg *serve.Registry, spec serve.JobSpec, maxShards int) (*Plan, error) {
 	if spec.PointStart != 0 || spec.PointCount != 0 {
 		return nil, fmt.Errorf("fabric: spec already carries a point range [%d,+%d)",
@@ -85,11 +86,12 @@ func PlanShards(reg *serve.Registry, spec serve.JobSpec, maxShards int) (*Plan, 
 	if maxShards < 0 {
 		return nil, fmt.Errorf("fabric: negative shard count %d", maxShards)
 	}
-	norm, err := reg.Validate(spec)
+	adm, err := reg.Admit(spec)
 	if err != nil {
 		return nil, err
 	}
-	cspec, err := reg.Build(norm)
+	norm := adm.Spec
+	cspec, err := adm.Compile()
 	if err != nil {
 		return nil, err
 	}

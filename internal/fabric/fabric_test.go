@@ -53,6 +53,32 @@ func startWorkers(t *testing.T, n int) []string {
 	return urls
 }
 
+// TestPlanShardsCompilesOnce: planning admits the spec and compiles its
+// campaign once, whatever its warmup.
+func TestPlanShardsCompilesOnce(t *testing.T) {
+	var builds atomic.Int64
+	reg := serve.NewRegistry()
+	reg.Register(serve.Entry{
+		Name: "count",
+		Build: func(spec serve.JobSpec) (*campaign.Spec, error) {
+			builds.Add(1)
+			run := func(tr campaign.Trial) (any, error) { return tr.Seed, nil }
+			return &campaign.Spec{Name: "count", SeedBase: spec.SeedBase, Points: []campaign.Point{
+				{Label: "a", Trials: spec.Trials, Run: run},
+				{Label: "b", Trials: spec.Trials, Run: run},
+				{Label: "c", Trials: spec.Trials, Run: run},
+			}}, nil
+		},
+	})
+	p, err := PlanShards(reg, serve.JobSpec{Experiment: "count", Trials: 4, Warmup: "shared"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := builds.Load(); n != 1 || len(p.Shards) != 3 || p.Trials != 12 {
+		t.Fatalf("%d builds, %d shards, %d trials; want 1, 3 and 12", n, len(p.Shards), p.Trials)
+	}
+}
+
 func plan(t *testing.T, maxShards int) *Plan {
 	t.Helper()
 	p, err := PlanShards(serve.DefaultRegistry(), refSpec(), maxShards)

@@ -31,10 +31,20 @@ const (
 // points inside an unsharded run.
 func Compile(s Spec, opts experiments.Options) (*campaign.Spec, error) {
 	opts = opts.WithDefaults()
-	if err := Validate(s, opts.TrialsPerPoint, DefaultLimits); err != nil {
+	a, err := Admit(s, opts.TrialsPerPoint, DefaultLimits)
+	if err != nil {
 		return nil, err
 	}
-	name, pts, err := points(s, opts)
+	return a.Compile(opts)
+}
+
+// Compile expands an admitted spec into its campaign, as the package-level
+// Compile does, without validating it again. opts.TrialsPerPoint must be
+// the trial count the spec was admitted with: the admission limits were
+// checked against it.
+func (a *Admitted) Compile(opts experiments.Options) (*campaign.Spec, error) {
+	opts = opts.WithDefaults()
+	name, pts, err := a.points(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -47,10 +57,11 @@ func Compile(s Spec, opts experiments.Options) (*campaign.Spec, error) {
 // NDJSON is byte-identical to a daemon job of the same spec.
 func Execute(s Spec, opts experiments.Options) (*experiments.Experiment, error) {
 	opts = opts.WithDefaults()
-	if err := Validate(s, opts.TrialsPerPoint, DefaultLimits); err != nil {
+	a, err := Admit(s, opts.TrialsPerPoint, DefaultLimits)
+	if err != nil {
 		return nil, err
 	}
-	name, pts, err := points(s, opts)
+	name, pts, err := a.points(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -73,13 +84,10 @@ func Execute(s Spec, opts experiments.Options) (*experiments.Experiment, error) 
 	}, nil
 }
 
-// points expands the spec into labelled, absolutely-seeded sweep points
-// and applies the options' point range.
-func points(s Spec, opts experiments.Options) (string, []experiments.SweepPoint, error) {
-	variants, err := Expand(s)
-	if err != nil {
-		return "", nil, err
-	}
+// points lowers the admitted spec's variants onto labelled,
+// absolutely-seeded sweep points and applies the options' point range.
+func (a *Admitted) points(opts experiments.Options) (string, []experiments.SweepPoint, error) {
+	s, variants := a.spec, a.variants
 	offset, stride := uint64(0), uint64(defaultSeedStride)
 	if s.Seed != nil {
 		offset = s.Seed.Offset

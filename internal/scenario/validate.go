@@ -65,6 +65,19 @@ var bulbPayloads = map[string]bool{"toggle": true, "power-off": true, "color": t
 // sim-time budget check. A failure is always a *ValidationError carrying
 // structured field paths.
 func Validate(s Spec, trials int, lim Limits) error {
+	_, err := Admit(s, trials, lim)
+	return err
+}
+
+// Admitted is a spec that passed Validate, holding the sweep expansion
+// validation computed so that compiling it expands nothing again.
+type Admitted struct {
+	spec     Spec
+	variants []Variant
+}
+
+// Admit validates s exactly as Validate does and returns it admitted.
+func Admit(s Spec, trials int, lim Limits) (*Admitted, error) {
 	if trials <= 0 {
 		trials = 25
 	}
@@ -72,15 +85,15 @@ func Validate(s Spec, trials int, lim Limits) error {
 	validateScalars(&s, lim, ve, "")
 	validateSweepDecl(&s, lim, ve)
 	if len(ve.Fields) > 0 {
-		return ve
+		return nil, ve
 	}
 	variants, err := Expand(s)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(variants) > lim.MaxPoints {
 		ve.add("sweep", "%d points exceed the limit %d", len(variants), lim.MaxPoints)
-		return ve
+		return nil, ve
 	}
 	var total float64
 	for k := range variants {
@@ -88,7 +101,7 @@ func Validate(s Spec, trials int, lim Limits) error {
 		validateScalars(&variants[k].Spec, lim, vv, fmt.Sprintf("sweep.points[%d].", k))
 		if len(vv.Fields) > 0 {
 			ve.Fields = append(ve.Fields, vv.Fields...)
-			return ve
+			return nil, ve
 		}
 		total += simSeconds(variants[k].Spec)
 	}
@@ -97,9 +110,9 @@ func Validate(s Spec, trials int, lim Limits) error {
 		ve.add("run.sim_seconds",
 			"job asks for %.0f simulated seconds (%d points × %d trials) but the admission limit is %.0f",
 			total, len(variants), trials, lim.MaxTotalSimSeconds)
-		return ve
+		return nil, ve
 	}
-	return nil
+	return &Admitted{spec: s, variants: variants}, nil
 }
 
 // simSeconds is a spec's per-trial virtual-time budget with the default

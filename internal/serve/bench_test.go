@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -129,4 +130,35 @@ func BenchmarkServeJobHTTP(b *testing.B) {
 				fmt.Sprintf(`{"experiment":"stub","trials":8,"seed_base":%d}`, 200000+i), "")
 		}
 	})
+}
+
+// shardScenario is a fleet-style DSL campaign: the attacker at six
+// distances from the victim, hop interval 36, up to 40 attempts and a 6 s
+// budget per trial.
+const shardScenario = `{"version":1,"name":"fleet-shard","conn":{"interval":36},
+"attacker":{"max_attempts":40},"run":{"sim_seconds":6},
+"sweep":[{"field":"attacker.pos.x","values":[-0.5,-0.75,-1,-1.25,-1.5,-2]}]}`
+
+// BenchmarkServeScenarioShard is one fleet-style shard job through the
+// server core on DefaultRegistry: an inline scenario with a one-point
+// range, warmup "shared" and the paper's 25 trials per value, so one
+// admission, one compile, one warm world forked 25 times and one binary
+// stream per op. Every iteration is a miss (distinct seed base). Its
+// allocation count — the job path's fixed cost plus 25 forks — is gated
+// by BENCH_8.json.
+func BenchmarkServeScenarioShard(b *testing.B) {
+	s := NewServer(Config{Hub: obs.NewHub(), QueueCap: 1024, JobWorkers: 1, TrialWorkers: 1})
+	b.Cleanup(s.Close)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := submitWait(b, s, JobSpec{
+			Scenario: json.RawMessage(shardScenario),
+			Trials:   25, SeedBase: uint64(1_000_000 + i*10_000),
+			PointStart: 2, PointCount: 1, Warmup: "shared",
+		})
+		if st := j.snapshot(); st.Status != StatusDone {
+			b.Fatalf("shard %d: %s %s", i, st.Status, st.Error)
+		}
+	}
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"injectable/internal/campaign"
 )
 
 // JobStatus is a job's lifecycle state.
@@ -26,6 +28,8 @@ type job struct {
 	id   string
 	spec JobSpec // normalized
 	key  string
+	// cspec is the campaign compiled at admission; the run takes it.
+	cspec *campaign.Spec
 	// trace is the job's trace id: the submitter's X-Trace-Id when one
 	// was propagated (fabric dispatch), else the canonical spec key.
 	trace string
@@ -168,9 +172,9 @@ func (b *streamBuf) sealedBytes() ([]byte, bool) {
 	return b.data, true
 }
 
-// reader returns an io.Reader over the stream from offset 0. Reads block
-// until bytes arrive or the stream is sealed; ctx aborts a blocked read.
-func (b *streamBuf) reader(ctx context.Context) io.Reader {
+// reader returns a reader over the stream from offset 0. Its waits block
+// until bytes arrive or the stream is sealed; ctx aborts a blocked wait.
+func (b *streamBuf) reader(ctx context.Context) *streamReader {
 	return &streamReader{buf: b, ctx: ctx}
 }
 
@@ -178,30 +182,64 @@ type streamReader struct {
 	buf *streamBuf
 	ctx context.Context
 	off int
+	// waker re-checks ctx while a wait is idle; one timer per reader,
+	// re-armed on every wait.
+	waker *time.Timer
 }
 
-func (r *streamReader) Read(p []byte) (int, error) {
+// WriteTo writes the stream from the reader's offset to dst until the
+// seal (io.WriterTo), one Write per wake-up. It hands dst the buffer's
+// own bytes without copying: each chunk is sliced under the lock and
+// written outside it, which is safe because the writer only appends, and
+// append never rewrites bytes below len.
+func (r *streamReader) WriteTo(dst io.Writer) (int64, error) {
+	var n int64
+	for {
+		chunk, err := r.next()
+		if len(chunk) > 0 {
+			m, werr := dst.Write(chunk)
+			n += int64(m)
+			if werr != nil {
+				return n, werr
+			}
+		}
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+	}
+}
+
+// next waits until the stream holds bytes past the reader's offset and
+// returns all of them, or io.EOF once it is sealed and drained.
+func (r *streamReader) next() ([]byte, error) {
 	b := r.buf
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.initLocked()
 	for {
-		if r.off < len(b.data) {
-			n := copy(p, b.data[r.off:])
-			r.off += n
-			return n, nil
+		if end := len(b.data); r.off < end {
+			chunk := b.data[r.off:end:end]
+			r.off = end
+			return chunk, nil
 		}
 		if b.sealed {
-			return 0, io.EOF
+			return nil, io.EOF
 		}
 		if err := r.ctx.Err(); err != nil {
-			return 0, err
+			return nil, err
 		}
 		// Wake on writes, seals and periodic ticks so a canceled context
 		// is noticed even when the stream is idle.
-		waker := time.AfterFunc(100*time.Millisecond, b.cond.Broadcast)
+		if r.waker == nil {
+			r.waker = time.AfterFunc(100*time.Millisecond, b.cond.Broadcast)
+		} else {
+			r.waker.Reset(100 * time.Millisecond)
+		}
 		b.cond.Wait()
-		waker.Stop()
+		r.waker.Stop()
 	}
 }
 

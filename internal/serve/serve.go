@@ -89,11 +89,11 @@ type JobSpec struct {
 	// Scenario carries an inline declarative world spec
 	// (internal/scenario) instead of a catalog experiment name. When set,
 	// Experiment must be empty or "scenario" and Target empty; the job
-	// compiles the spec into its campaign. DecodeJobSpec (and
-	// ScenarioJobSpec, the programmatic entry) validate the payload and
-	// rewrite it to its canonical encoding, so the dedup key — which
-	// hashes these bytes — is identical for every spelling of the same
-	// world, on every node.
+	// compiles the spec into its campaign. Admission (Registry.Admit),
+	// DecodeJobSpec and ScenarioJobSpec, the programmatic entry, validate
+	// the payload and rewrite it to its canonical encoding, so the dedup
+	// key — which hashes these bytes — is identical for every spelling of
+	// the same world, on every node.
 	Scenario json.RawMessage `json:"scenario,omitempty"`
 }
 
@@ -104,8 +104,24 @@ const ScenarioExperiment = "scenario"
 // DecodeJobSpec parses a job spec strictly: unknown fields, trailing
 // garbage and out-of-range values are errors. It does not check the
 // experiment name against a registry — that is the server's job, so the
-// decoder stays a pure function fit for fuzzing.
+// decoder stays a pure function fit for fuzzing. An inline scenario is
+// validated and rewritten to its canonical encoding.
 func DecodeJobSpec(data []byte) (JobSpec, error) {
+	spec, err := decodeJobSpec(data)
+	if err != nil || len(spec.Scenario) == 0 {
+		return spec, err
+	}
+	a, err := admitScenario(spec)
+	if err != nil {
+		return JobSpec{}, err
+	}
+	spec.Scenario = a.Spec.Scenario
+	return spec, nil
+}
+
+// decodeJobSpec is DecodeJobSpec without the scenario's admission: the
+// daemon's HTTP paths admit the spec once, when they submit it.
+func decodeJobSpec(data []byte) (JobSpec, error) {
 	var spec JobSpec
 	if len(data) > maxSpecBytes {
 		return spec, fmt.Errorf("serve: job spec exceeds %d bytes", maxSpecBytes)
@@ -121,30 +137,32 @@ func DecodeJobSpec(data []byte) (JobSpec, error) {
 	if err := spec.check(); err != nil {
 		return JobSpec{}, err
 	}
-	if len(spec.Scenario) > 0 {
-		canon, err := canonicalScenario(spec)
-		if err != nil {
-			return JobSpec{}, err
-		}
-		spec.Scenario = canon
-	}
 	return spec, nil
 }
 
-// canonicalScenario strict-decodes, validates and canonicalizes an
-// inline scenario payload. Validation here is still registry-independent
-// (the scenario package is pure), so the decoder remains a pure function;
-// rewriting to the canonical bytes is what gives equivalent spellings of
-// one world equal dedup keys.
-func canonicalScenario(spec JobSpec) (json.RawMessage, error) {
-	sp, err := scenario.DecodeSpec(spec.Scenario)
+// admitScenario admits an inline-scenario spec: decoder-level bounds, a
+// strict decode, semantic validation against the admission limits (device
+// count, point count, sim-time budget — all before any world exists) and
+// the rewrite to canonical bytes, so the normalized spec's key matches
+// every other spelling of the same world. It needs no registry (the
+// scenario package is pure), which is what lets the decoders share it.
+func admitScenario(spec JobSpec) (Admission, error) {
+	if err := spec.check(); err != nil {
+		return Admission{}, err
+	}
+	norm := spec.Normalize()
+	sp, err := scenario.DecodeSpec(norm.Scenario)
 	if err != nil {
-		return nil, fmt.Errorf("serve: scenario: %w", err)
+		return Admission{}, fmt.Errorf("serve: scenario: %w", err)
 	}
-	if err := scenario.Validate(sp, spec.Normalize().Trials, scenario.DefaultLimits); err != nil {
-		return nil, fmt.Errorf("serve: scenario: %w", err)
+	adm, err := scenario.Admit(sp, norm.Trials, scenario.DefaultLimits)
+	if err != nil {
+		return Admission{}, fmt.Errorf("serve: scenario: %w", err)
 	}
-	return scenario.EncodeCanonical(sp)
+	if norm.Scenario, err = scenario.EncodeCanonical(sp); err != nil {
+		return Admission{}, err
+	}
+	return Admission{Spec: norm, scen: adm}, nil
 }
 
 // ScenarioJobSpec embeds a raw declarative scenario into base: the spec
@@ -154,18 +172,21 @@ func canonicalScenario(spec JobSpec) (json.RawMessage, error) {
 // fabric coordinator key caches and journals before ever talking to a
 // worker.
 func ScenarioJobSpec(raw []byte, base JobSpec) (JobSpec, error) {
-	base.Experiment = ScenarioExperiment
-	base.Target = ""
-	base.Scenario = raw
-	if err := base.check(); err != nil {
-		return JobSpec{}, err
-	}
-	canon, err := canonicalScenario(base)
+	base = scenarioJob(raw, base)
+	a, err := admitScenario(base)
 	if err != nil {
 		return JobSpec{}, err
 	}
-	base.Scenario = canon
+	base.Scenario = a.Spec.Scenario
 	return base, nil
+}
+
+// scenarioJob embeds a raw scenario into base, unadmitted.
+func scenarioJob(raw []byte, base JobSpec) JobSpec {
+	base.Experiment = ScenarioExperiment
+	base.Target = ""
+	base.Scenario = raw
+	return base
 }
 
 // check enforces the decoder-level bounds (registry-independent).

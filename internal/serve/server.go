@@ -148,13 +148,19 @@ func (s *Server) Submit(spec JobSpec) (*job, string, error) {
 // X-Trace-Id header; a coordinator passes its campaign-level spec hash so
 // worker-side spans join the fleet trace). An empty trace defaults to the
 // job's own canonical key.
+//
+// Admission runs once per submission: the registry admits the spec (for
+// an inline scenario: one decode, one validation, one canonical
+// encoding), and only a miss compiles its campaign, which the job then
+// carries to its run. A join or a hit compiles nothing: its key was
+// admitted and compiled when it missed.
 func (s *Server) submit(spec JobSpec, trace string) (*job, string, error) {
-	norm, err := s.cfg.Registry.Validate(spec)
+	adm, err := s.cfg.Registry.Admit(spec)
 	if err != nil {
-		s.reg().Counter("serve.reject_invalid").Inc()
-		s.log.Warn("job rejected", "reason", "invalid", "err", err)
+		s.rejectInvalid(err)
 		return nil, "", err
 	}
+	norm := adm.Spec
 	key := norm.Key()
 	if trace == "" {
 		trace = key
@@ -187,8 +193,17 @@ func (s *Server) submit(spec JobSpec, trace string) (*job, string, error) {
 			return j, "hit", nil
 		}
 	}
+	// A miss. Compiling is closure construction, no simulation, and it
+	// rejects a point range or warmup the experiment cannot take here, at
+	// admission, instead of as a failed job.
+	cspec, err := adm.Compile()
+	if err != nil {
+		s.rejectInvalid(err)
+		return nil, "", err
+	}
 	j := newJob(s.ids.next(), norm, time.Now())
 	j.trace = trace
+	j.cspec = cspec
 	if err := s.queue.push(j); err != nil {
 		s.reg().Counter("serve.reject_queue_full").Inc()
 		s.log.Warn("job rejected", "reason", "queue full", "key", key)
@@ -202,6 +217,12 @@ func (s *Server) submit(spec JobSpec, trace string) (*job, string, error) {
 	s.log.Info("job admitted", "id", j.id, "experiment", norm.Experiment,
 		"target", norm.Target, "trials", norm.Trials, "key", key, "depth", s.queue.depth())
 	return j, "miss", nil
+}
+
+// rejectInvalid counts and logs a submission that failed admission.
+func (s *Server) rejectInvalid(err error) {
+	s.reg().Counter("serve.reject_invalid").Inc()
+	s.log.Warn("job rejected", "reason", "invalid", "err", err)
 }
 
 // Job returns a job by id.
@@ -237,8 +258,22 @@ func (s *Server) runJob(j *job) {
 	// (the run completed cleanly). Sealing the stream, closing done and
 	// retiring the job happen in one s.mu section, and a resubmission
 	// takes s.mu too: a client that has read the whole stream, or seen
-	// the job end, and resubmits finds it cached, never live.
+	// the job end, and resubmits finds it cached, never live. The job's
+	// metrics and span are recorded before that section, so the same
+	// client also finds it counted.
 	finish := func(status JobStatus, errMsg string, cacheable bool) {
+		switch status {
+		case StatusDone:
+			s.reg().Counter("serve.jobs_done").Inc()
+		case StatusCanceled:
+			s.reg().Counter("serve.jobs_canceled").Inc()
+		default:
+			s.reg().Counter("serve.jobs_failed").Inc()
+		}
+		s.reg().Histogram("serve.job_e2e_ms", msHist()).
+			Observe(float64(time.Since(j.submitted).Milliseconds()))
+		s.cfg.Hub.Spans().Add(obs.NewSpan(j.trace, "run", start,
+			"job", j.id, "experiment", j.spec.Experiment, "status", string(status)))
 		s.mu.Lock()
 		j.buf.seal()
 		var entry *cached
@@ -254,30 +289,15 @@ func (s *Server) runJob(j *job) {
 		}
 		s.retire(j, entry)
 		s.mu.Unlock()
-		switch status {
-		case StatusDone:
-			s.reg().Counter("serve.jobs_done").Inc()
-		case StatusCanceled:
-			s.reg().Counter("serve.jobs_canceled").Inc()
-		default:
-			s.reg().Counter("serve.jobs_failed").Inc()
-		}
-		s.reg().Histogram("serve.job_e2e_ms", msHist()).
-			Observe(float64(time.Since(j.submitted).Milliseconds()))
-		s.cfg.Hub.Spans().Add(obs.NewSpan(j.trace, "run", start,
-			"job", j.id, "experiment", j.spec.Experiment, "status", string(status)))
 		s.log.Info("job finished", "id", j.id, "status", status, "err", errMsg,
 			"e2e_ms", time.Since(j.submitted).Milliseconds())
 	}
 
+	// The job outlives its run (the cache keeps it), its campaign need not.
+	cspec := j.cspec
+	j.cspec = nil
 	if j.canceledCtx.Err() != nil {
 		finish(StatusCanceled, "canceled while queued", false)
-		return
-	}
-
-	cspec, err := s.cfg.Registry.Build(j.spec)
-	if err != nil {
-		finish(StatusFailed, err.Error(), false)
 		return
 	}
 
@@ -496,13 +516,14 @@ func (s *Server) retryAfterSecs() string {
 
 // decodeSubmit reads and strictly decodes the request body. The limit
 // reads one byte past the spec cap so an oversized body is detected as
-// such rather than silently truncated into a JSON error.
+// such rather than silently truncated into a JSON error. An inline
+// scenario is left as sent: submit admits it.
 func decodeSubmit(r *http.Request) (JobSpec, error) {
 	buf, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil {
 		return JobSpec{}, fmt.Errorf("serve: reading job spec: %w", err)
 	}
-	return DecodeJobSpec(buf)
+	return decodeJobSpec(buf)
 }
 
 // submitHTTP maps Submit errors onto status codes; on success it returns
@@ -619,13 +640,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, fmt.Sprintf("serve: reading scenario spec: %v", err))
 		return
 	}
-	spec, err := ScenarioJobSpec(raw, base)
-	if err != nil {
-		s.reg().Counter("serve.reject_invalid").Inc()
-		s.httpErrorErr(w, http.StatusBadRequest, err)
-		return
-	}
-	j, disp, ok := s.submitSpec(w, r, spec)
+	j, disp, ok := s.submitSpec(w, r, scenarioJob(raw, base))
 	if !ok {
 		return
 	}
@@ -693,7 +708,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, j *job, for
 			s.writeSlab(w, slab)
 			return
 		}
-		streamCopy(w, s.egress(w), j.buf.reader(r.Context()))
+		streamLive(w, s.egress(w), j.buf.reader(r.Context()))
 	case formatSSE:
 		s.streamSSE(w, r, j)
 	default:
@@ -702,7 +717,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, j *job, for
 			s.writeSlab(w, nd)
 			return
 		}
-		streamCopy(w, campaign.NewNDJSONWriter(s.egress(w)), j.buf.reader(r.Context()))
+		streamLive(w, campaign.NewNDJSONWriter(s.egress(w)), j.buf.reader(r.Context()))
 	}
 }
 
@@ -886,27 +901,28 @@ func (c countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// streamCopy copies a job's live stream from src into dst — the
-// response itself or a rendering onto it — flushing w after each chunk
-// so subscribers see per-trial results live. It returns at the
-// stream's EOF, which the job's seal delivers, or on the first error.
-func streamCopy(w http.ResponseWriter, dst io.Writer, src io.Reader) {
+// streamLive writes a job's live stream from src to dst — the response
+// itself or a rendering onto it — flushing w after each chunk so
+// subscribers see per-trial results live. The chunks are the stream
+// buffer's own bytes, not a copy. It returns at the stream's EOF, which
+// the job's seal delivers, or on the first error.
+func streamLive(w http.ResponseWriter, dst io.Writer, src *streamReader) {
 	fl, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
-	for {
-		n, err := src.Read(buf)
-		if n > 0 {
-			if _, werr := dst.Write(buf[:n]); werr != nil {
-				return
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-		}
-		if err != nil {
-			return
-		}
+	src.WriteTo(flushWriter{dst, fl})
+}
+
+// flushWriter flushes its response after every write.
+type flushWriter struct {
+	w  io.Writer
+	fl http.Flusher
+}
+
+func (f flushWriter) Write(p []byte) (int, error) {
+	n, err := f.w.Write(p)
+	if err == nil && f.fl != nil {
+		f.fl.Flush()
 	}
+	return n, err
 }
 
 // sseEvents reframes each NDJSON line — NDJSONWriter writes one per
@@ -925,7 +941,7 @@ func (e sseEvents) Write(line []byte) (int, error) {
 func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, j *job) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
-	streamCopy(w, campaign.NewNDJSONWriter(sseEvents{w}), j.buf.reader(r.Context()))
+	streamLive(w, campaign.NewNDJSONWriter(sseEvents{w}), j.buf.reader(r.Context()))
 	fmt.Fprint(w, "event: end\ndata: {}\n\n")
 	if fl, ok := w.(http.Flusher); ok {
 		fl.Flush()

@@ -388,7 +388,7 @@ func TestStreamEOFImpliesCached(t *testing.T) {
 	}
 	eof := make(chan error, 1)
 	go func() {
-		_, err := io.Copy(io.Discard, j.buf.reader(context.Background()))
+		_, err := j.buf.reader(context.Background()).WriteTo(io.Discard)
 		eof <- err
 	}()
 
@@ -605,10 +605,12 @@ func TestHealthMetricsExperiments(t *testing.T) {
 func TestJobTableBounded(t *testing.T) {
 	const entries = 4
 	reg := stubRegistry(nil, nil, nil)
+	// Admission compiles a miss, so a broken job must fail at run time:
+	// its campaign has a point with no Run, which the runner refuses.
 	reg.Register(Entry{
 		Name: "broken",
 		Build: func(JobSpec) (*campaign.Spec, error) {
-			return nil, fmt.Errorf("broken by design")
+			return &campaign.Spec{Name: "broken", Points: []campaign.Point{{Label: "p", Trials: 1}}}, nil
 		},
 	})
 	s := NewServer(Config{Registry: reg, Hub: obs.NewHub(), CacheEntries: entries, JobWorkers: 2, TrialWorkers: 1})

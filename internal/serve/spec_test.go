@@ -109,6 +109,11 @@ func TestRegistryValidate(t *testing.T) {
 	if _, err := r.Validate(JobSpec{Experiment: "keystrokes"}); err != nil {
 		t.Errorf("keystrokes (targetless scenario) rejected: %v", err)
 	}
+	// Admission applies the decoder's bounds to catalog specs too, so a
+	// planner never shards a campaign every worker would refuse.
+	if _, err := r.Validate(JobSpec{Experiment: "exp1", Trials: MaxTrials + 1}); err == nil {
+		t.Error("catalog spec beyond MaxTrials validated")
+	}
 }
 
 func TestPointRangeKeyAndValidate(t *testing.T) {

@@ -432,6 +432,58 @@ func TestArenaRecyclesQueuedAtArgEvents(t *testing.T) {
 	}
 }
 
+// TestReturnedArenaHoldsNoWorld: an arena on the free list pins no dead
+// world. Returning it recycles the events its last scheduler left queued,
+// drops their callbacks, lets go of the scheduler itself and keeps one
+// byte chunk of the two the world filled, and the next TakeArena hands
+// the same arena out again.
+func TestReturnedArenaHoldsNoWorld(t *testing.T) {
+	a := TakeArena()
+	s := a.NewScheduler()
+	c := &argCounter{}
+	c.bumpF = c.bump
+	for i := 0; i < 5; i++ {
+		s.AtArg(Time(10+i), "queued", c.bumpF, &argSubject{i})
+		s.At(Time(20+i), "queued", func() { c.log = append(c.log, -1) })
+	}
+	a.Bytes().Alloc(byteArenaChunk - 50)
+	a.Bytes().Alloc(100)
+	ReturnArena(a)
+
+	if a.prev != nil {
+		t.Fatal("returned arena still references its last scheduler")
+	}
+	if len(a.heap) != 0 || s.Pending() != 0 {
+		t.Fatalf("events still queued: arena heap %d, scheduler %d", len(a.heap), s.Pending())
+	}
+	free := 0
+	for e := a.free; e != nil; e = e.next {
+		if e.fn != nil || e.argFn != nil || e.arg != nil {
+			t.Fatalf("free event %q keeps a callback or argument", e.label)
+		}
+		free++
+	}
+	if free != 10 {
+		t.Fatalf("free list holds %d events, want the 10 left queued", free)
+	}
+	if len(a.bytes.cur) != 0 || cap(a.bytes.cur) != byteArenaChunk || len(a.bytes.filled) != 0 || len(a.bytes.spare) != 0 {
+		t.Fatalf("byte arena holds %d spare and %d filled chunks and a current one of %d/%d bytes; want one empty chunk",
+			len(a.bytes.spare), len(a.bytes.filled), len(a.bytes.cur), cap(a.bytes.cur))
+	}
+
+	b := TakeArena()
+	defer ReturnArena(b)
+	if b != a {
+		t.Fatal("TakeArena did not hand out the returned arena")
+	}
+	s = b.NewScheduler()
+	s.At(1, "plain", func() {})
+	s.Run()
+	if len(c.log) != 0 {
+		t.Fatalf("a recycled event ran a stale callback %d times", len(c.log))
+	}
+}
+
 func TestTimeArithmetic(t *testing.T) {
 	t0 := Time(0).Add(Milliseconds(2))
 	if t0.Microseconds() != 2000 {

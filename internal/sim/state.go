@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"unsafe"
@@ -42,7 +43,10 @@ import (
 //     restored as pointers but their pointees are left alone: rolling back
 //     a *testing.T or a file's state would be actively wrong. There is no
 //     exception: an RNG holds its math/rand.Rand by value, so the Rand's
-//     Read position is captured with the RNG's own bytes.
+//     Read position is captured with the RNG's own bytes. The walk does
+//     not descend into that Rand either: its source is the RNG's own
+//     alfg, so following the source pointers would capture the alfg a
+//     second time.
 //
 // Slices are saved as regions: the backing array contents over [0:cap] are
 // copied out and restored, so post-snapshot appends within capacity roll
@@ -116,16 +120,37 @@ type walker struct {
 	visitRNG func(*RNG)
 }
 
+// walkers is the free list of walkers' visited sets: a walk clears them
+// when it ends, keeping their buckets, so a capture does not regrow them
+// from empty.
+var walkers freeList[*walker]
+
+// newWalker returns a walker with empty visited sets, reusing a finished
+// walk's when one is free. Hand it back with done.
+func newWalker(c *Capture, visit func(*RNG)) *walker {
+	w, ok := walkers.get()
+	if !ok {
+		w = &walker{seen: make(map[objKey]struct{}), mapSeen: make(map[unsafe.Pointer]struct{})}
+	}
+	w.cap, w.visitRNG = c, visit
+	return w
+}
+
+// done clears the walker's visited sets and returns it to the free list.
+func (w *walker) done() {
+	clear(w.seen)
+	clear(w.mapSeen)
+	w.cap, w.visitRNG = nil, nil
+	walkers.put(w)
+}
+
 // CaptureRoots deep-captures everything reachable from the given root
 // pointers. Roots must be non-nil pointers to module-managed objects.
 func CaptureRoots(roots ...any) *Capture {
 	c := &Capture{roots: roots}
-	w := &walker{
-		cap:     c,
-		seen:    make(map[objKey]struct{}),
-		mapSeen: make(map[unsafe.Pointer]struct{}),
-	}
+	w := newWalker(c, nil)
 	w.walkRoots(roots)
+	w.done()
 	return c
 }
 
@@ -134,12 +159,9 @@ func CaptureRoots(roots ...any) *Capture {
 // world's stream registry (RNG.Streams) is checked against: every stream
 // it reaches from a world's snapshot roots must be registered.
 func VisitRNGs(visit func(*RNG), roots ...any) {
-	w := &walker{
-		seen:     make(map[objKey]struct{}),
-		mapSeen:  make(map[unsafe.Pointer]struct{}),
-		visitRNG: visit,
-	}
+	w := newWalker(nil, visit)
 	w.walkRoots(roots)
+	w.done()
 }
 
 func (w *walker) walkRoots(roots []any) {
@@ -157,6 +179,7 @@ func (w *walker) walkRoots(roots []any) {
 
 var (
 	rngType        = reflect.TypeOf(RNG{})
+	randType       = reflect.TypeOf(rand.Rand{})
 	arenaChunkType = reflect.TypeOf(arenaChunk(nil))
 )
 
@@ -202,8 +225,12 @@ func (w *walker) walk(v reflect.Value) {
 		// immutable through the interface; nothing to capture.
 
 	case reflect.Struct:
+		inRNG := v.Type() == rngType
 		for i := 0; i < v.NumField(); i++ {
 			f := v.Field(i)
+			if inRNG && f.Type() == randType {
+				continue // its source is this RNG's own alfg
+			}
 			if !f.CanInterface() && f.CanAddr() {
 				// De-restrict an unexported field so slices/maps found under
 				// it can be copied and restored.

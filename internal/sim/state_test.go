@@ -234,3 +234,32 @@ func TestVisitRNGs(t *testing.T) {
 		t.Fatalf("visited %d RNGs, want 3", len(seen))
 	}
 }
+
+// TestCaptureHoldsAnRNGsGeneratorOnce: a drawn stream's alfg is captured
+// with its RNG's bytes, not a second time as an object of its own through
+// its rand.Rand's source pointer; a stream drawn past 273 adds exactly its
+// register. Repeated captures, which reuse the walk's visited sets, see
+// the whole graph every time.
+func TestCaptureHoldsAnRNGsGeneratorOnce(t *testing.T) {
+	g := NewRNG(7)
+	g.Float64()
+	for i := 0; i < 3; i++ {
+		if n := CaptureRoots(g).Objects(); n != 1 {
+			t.Fatalf("capture %d of a stream drawn once holds %d objects, want 1 (the RNG)", i, n)
+		}
+	}
+	for i := 0; i < alfgTap; i++ {
+		g.Float64()
+	}
+	c := CaptureRoots(g)
+	if n := c.Objects(); n != 2 {
+		t.Fatalf("a stream past draw %d captures %d objects, want 2 (the RNG and its register)", alfgTap, n)
+	}
+	want := []float64{g.Float64(), g.Float64(), g.Float64()}
+	c.Restore()
+	for i, w := range want {
+		if got := g.Float64(); got != w {
+			t.Fatalf("draw %d after restore = %v, want %v", i, got, w)
+		}
+	}
+}
