@@ -186,7 +186,7 @@ func BenchmarkFig9Exp3Distance(b *testing.B) {
 				Interval: 36, Payload: experiments.PayloadPowerOff,
 				CentralPos:  phy.Position{X: 2},
 				AttackerPos: phy.Position{X: -d},
-				PhoneGrade:  true,
+				CentralPPM:  50, CentralJitter: 8 * sim.Microsecond,
 			}, uint64(d)*10000)
 		})
 	}
@@ -202,7 +202,7 @@ func BenchmarkFig9Exp3Wall(b *testing.B) {
 				CentralPos:  phy.Position{X: 2},
 				AttackerPos: phy.Position{X: -d},
 				Walls:       []phy.Wall{wall},
-				PhoneGrade:  true,
+				CentralPPM:  50, CentralJitter: 8 * sim.Microsecond,
 			}, uint64(d)*20000)
 		})
 	}
@@ -294,7 +294,7 @@ func BenchmarkAblationCaptureModels(b *testing.B) {
 			reportTrialSeries(b, experiments.TrialConfig{
 				Interval: 36, Payload: experiments.PayloadPowerOff,
 				BulbPos: bulb, CentralPos: central, AttackerPos: attacker,
-				Capture: model, MaxAttempts: 40, SimBudget: 60 * sim.Second,
+				Capture: model, Injector: injectable.InjectorConfig{MaxAttempts: 40}, SimBudget: 60 * sim.Second,
 			}, 980000)
 		})
 	}
@@ -326,8 +326,8 @@ func BenchmarkAblationInjectionTiming(b *testing.B) {
 			reportTrialSeries(b, experiments.TrialConfig{
 				Interval: 36, Payload: experiments.PayloadPowerOff,
 				BulbPos: bulb, CentralPos: central, AttackerPos: attacker,
-				Injector:    injectable.InjectorConfig{InjectAtWindowCenter: center},
-				MaxAttempts: 40, SimBudget: 60 * sim.Second,
+				Injector:  injectable.InjectorConfig{InjectAtWindowCenter: center, MaxAttempts: 40},
+				SimBudget: 60 * sim.Second,
 			}, 995000)
 		})
 	}

@@ -152,9 +152,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return nil
 		}
 	}
-	expErr := func(f func() (*experiments.Experiment, error)) func() error {
+	sweep := func(name string) func() error {
 		return func() error {
-			exp, err := f()
+			exp, err := experiments.RunSweep(name, opts)
 			newline()
 			if err != nil {
 				return err
@@ -196,18 +196,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		"fig6":    tableErr(func() (*experiments.Table, error) { return experiments.Fig6SlaveHijack(*seed) }),
 		"fig7":    tableErr(func() (*experiments.Table, error) { return experiments.Fig7MitM(*seed) }),
 		"fig8":    func() error { fmt.Fprintln(stdout, experiments.Fig8Topology().Render()); return nil },
-		"exp1": expErr(func() (*experiments.Experiment, error) {
-			return experiments.Experiment1HopInterval(opts)
-		}),
-		"exp2": expErr(func() (*experiments.Experiment, error) {
-			return experiments.Experiment2PayloadSize(opts)
-		}),
-		"exp3": expErr(func() (*experiments.Experiment, error) {
-			return experiments.Experiment3Distance(opts)
-		}),
-		"exp3wall": expErr(func() (*experiments.Experiment, error) {
-			return experiments.Experiment3Wall(opts)
-		}),
+
+		"exp1":     sweep("exp1"),
+		"exp2":     sweep("exp2"),
+		"exp3":     sweep("exp3"),
+		"exp3wall": sweep("exp3wall"),
 		"counterfactual": func() error {
 			pts, err := experiments.ExperimentCounterfactual(opts)
 			newline()
@@ -299,18 +292,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return nil
 		},
 		"ablations": func() error {
-			for _, f := range []func(experiments.Options) (*experiments.Experiment, error){
-				experiments.AblationCaptureModel,
-				experiments.AblationAssumedSlaveSCA,
-				experiments.AblationInjectionTiming,
-				experiments.AblationAdaptiveGuard,
-			} {
-				exp, err := f(opts)
-				if err != nil {
+			for _, name := range []string{"ablation-capture", "ablation-sca", "ablation-timing", "ablation-guard"} {
+				if err := sweep(name)(); err != nil {
 					return err
 				}
-				newline()
-				fmt.Fprintln(stdout, exp.Table().Render())
 			}
 			t, err := experiments.HeuristicValidation(opts)
 			if err != nil {

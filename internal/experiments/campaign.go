@@ -143,19 +143,13 @@ func warmupFor(cfg TrialConfig) campaign.WarmupFunc {
 	}
 }
 
-// RunSweepPoints executes pre-built points as one campaign and collates
-// each point's trials, exactly like the catalog entry points do. It is
-// the in-process execution path for external point builders — the
-// scenario DSL's Execute runs its compiled points through here.
+// RunSweepPoints executes the points as one campaign and collates each
+// point's trials into a SeriesResult. Results stream back in
+// deterministic trial order regardless of opts.Parallel, so the
+// accumulated series — and any table rendered from it — is bit-for-bit
+// identical to a serial run. RunSweep runs the catalog's sweeps through
+// here, and the scenario DSL's Execute its compiled points.
 func RunSweepPoints(opts Options, name string, pts []SweepPoint) ([]Point, error) {
-	return runSweep(opts, name, pts)
-}
-
-// runSweep executes the points as one campaign and collates each point's
-// trials into a SeriesResult. Results stream back in deterministic trial
-// order regardless of opts.Parallel, so the accumulated series — and any
-// table rendered from it — is bit-for-bit identical to a serial run.
-func runSweep(opts Options, name string, pts []SweepPoint) ([]Point, error) {
 	spec := BuildSweep(opts, name, pts)
 	index := make(map[string]int, len(pts))
 	for i, sp := range pts {

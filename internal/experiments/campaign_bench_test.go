@@ -13,7 +13,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				exp, err := Experiment1HopInterval(Options{TrialsPerPoint: 2, Parallel: workers})
+				exp, err := RunSweep("exp1", Options{TrialsPerPoint: 2, Parallel: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

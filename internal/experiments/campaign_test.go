@@ -17,7 +17,7 @@ import (
 // stats all independent of worker count and completion order.
 func TestParallelSweepByteIdentical(t *testing.T) {
 	render := func(parallel int) string {
-		exp, err := Experiment1HopInterval(Options{TrialsPerPoint: 3, Parallel: parallel})
+		exp, err := RunSweep("exp1", Options{TrialsPerPoint: 3, Parallel: parallel})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
@@ -38,7 +38,7 @@ func TestParallelProgressOrderDeterministic(t *testing.T) {
 	trace := func(parallel int) []string {
 		var mu sync.Mutex
 		var seen []string
-		_, err := Experiment2PayloadSize(Options{
+		_, err := RunSweep("exp2", Options{
 			TrialsPerPoint: 2,
 			Parallel:       parallel,
 			Progress: func(point string, trial int) {
@@ -102,7 +102,7 @@ func TestSweepPanicIsolation(t *testing.T) {
 // campaign/metrics framing, with the trial payload marshalled.
 func TestSweepJSONLStream(t *testing.T) {
 	var buf bytes.Buffer
-	_, err := AblationInjectionTiming(Options{TrialsPerPoint: 2, JSONL: &buf})
+	_, err := RunSweep("ablation-timing", Options{TrialsPerPoint: 2, JSONL: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,53 +15,20 @@ import (
 // injected traffic — ground truth the paper's eq. 7 heuristic can be
 // audited against without any statistical argument.
 
-// counterfactualPoints sweeps the four payloads at Hop Interval 75 on the
-// paper's triangle, like exp2 but in its own absolute seed block.
-func counterfactualPoints(opts Options) []SweepPoint {
-	bulb, central, attacker := trianglePositions()
-	var pts []SweepPoint
-	for i, payload := range []Payload{PayloadTerminate, PayloadToggle, PayloadPowerOff, PayloadColor} {
-		pts = append(pts, SweepPoint{
-			Label:    payload.String(),
-			SeedBase: opts.SeedBase + 90000 + uint64(i)*1000,
-			Cfg: TrialConfig{
-				Interval:    75,
-				Payload:     payload,
-				BulbPos:     bulb,
-				CentralPos:  central,
-				AttackerPos: attacker,
-			},
-		})
-	}
-	return pts
-}
-
-// counterfactualSpec expands the points into a fork-based campaign whose
-// trial functions return CounterfactualOutcome values. The study is
-// fork-based by construction (both arms replay one snapshot), so
-// Options.Warmup does not apply here.
-func counterfactualSpec(opts Options, pts []SweepPoint) *campaign.Spec {
-	spec := &campaign.Spec{Name: "counterfactual", SeedBase: opts.SeedBase}
-	for _, sp := range pts {
-		cfg := sp.Cfg
-		base := sp.SeedBase
-		trials := sp.Trials
-		if trials == 0 {
-			trials = opts.TrialsPerPoint
+// counterfactualSpec is the catalog's build for the counterfactual: the
+// points' shared-warmup sweep, each trial running both arms from the
+// point's snapshot and returning a CounterfactualOutcome. The study is
+// fork-based by construction, so Options.Warmup does not apply here.
+func counterfactualSpec(opts Options, name string, pts []SweepPoint) *campaign.Spec {
+	opts.Warmup = WarmupShared
+	spec := BuildSweep(opts, name, pts)
+	for i := range spec.Points {
+		spec.Points[i].Run = func(t campaign.Trial) (any, error) {
+			if t.WarmErr != nil {
+				return CounterfactualOutcome{}, t.WarmErr
+			}
+			return t.Warm.(*WarmTrial).RunCounterfactual(t.Seed, t.Obs, t.Ctx)
 		}
-		spec.Points = append(spec.Points, campaign.Point{
-			Label:    sp.Label,
-			Trials:   trials,
-			Seed:     func(i int) uint64 { return base + uint64(i) },
-			WarmSeed: WarmTrialSeed(base),
-			Warmup:   warmupFor(cfg),
-			Run: func(t campaign.Trial) (any, error) {
-				if t.WarmErr != nil {
-					return CounterfactualOutcome{}, t.WarmErr
-				}
-				return t.Warm.(*WarmTrial).RunCounterfactual(t.Seed, t.Obs, t.Ctx)
-			},
-		})
 	}
 	return spec
 }
@@ -89,9 +56,11 @@ type CounterfactualPoint struct {
 // ExperimentCounterfactual runs the counterfactual study and collates it
 // per payload.
 func ExperimentCounterfactual(opts Options) ([]CounterfactualPoint, error) {
-	opts.applyDefaults()
-	pts := counterfactualPoints(opts)
-	spec := counterfactualSpec(opts, pts)
+	e, pts, err := catalogSweep("counterfactual", &opts)
+	if err != nil {
+		return nil, err
+	}
+	spec := counterfactualSpec(opts, e.id, pts)
 
 	index := make(map[string]int, len(pts))
 	for i, sp := range pts {
@@ -129,15 +98,14 @@ func ExperimentCounterfactual(opts Options) ([]CounterfactualPoint, error) {
 	return points, nil
 }
 
-// CounterfactualTable renders the study.
+// CounterfactualTable renders the study under its catalog entry's title
+// and notes.
 func CounterfactualTable(points []CounterfactualPoint) *Table {
+	e := sweepEntry("counterfactual")
 	t := &Table{
-		Title:  "counterfactual — attacker-on vs attacker-off from one snapshot",
-		Header: []string{"payload", "trials", "heuristic-success", "effect", "baseline-effect", "causal", "fail"},
-		Notes: []string{
-			"both arms fork the same warmed snapshot with the same randomness;",
-			"causal = effect observed with the attack and absent without it",
-		},
+		Title:  e.id + " — " + e.title,
+		Header: []string{e.xlabel, "trials", "heuristic-success", "effect", "baseline-effect", "causal", "fail"},
+		Notes:  e.notes,
 	}
 	for _, p := range points {
 		t.Rows = append(t.Rows, []string{

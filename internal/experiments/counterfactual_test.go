@@ -6,27 +6,28 @@ import (
 	"testing"
 
 	"injectable/internal/campaign"
+	"injectable/internal/injectable"
 	"injectable/internal/sim"
 )
 
 func TestCounterfactualIsServable(t *testing.T) {
 	found := false
 	for _, name := range SweepNames() {
-		if name == counterfactualName {
+		if name == "counterfactual" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("SweepNames() = %v, missing %q", SweepNames(), counterfactualName)
+		t.Fatalf("SweepNames() = %v, missing counterfactual", SweepNames())
 	}
-	full, err := SweepSpec(counterfactualName, Options{TrialsPerPoint: 1})
+	full, err := SweepSpec("counterfactual", Options{TrialsPerPoint: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := len(full.Points); n != 4 {
 		t.Fatalf("SweepSpec has %d points, want 4 payloads", n)
 	}
-	spec, err := SweepSpec(counterfactualName, Options{TrialsPerPoint: 1, PointStart: 1, PointCount: 2})
+	spec, err := SweepSpec("counterfactual", Options{TrialsPerPoint: 1, PointStart: 1, PointCount: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +46,10 @@ func TestCounterfactualIsServable(t *testing.T) {
 func TestCounterfactualCampaignDeterministic(t *testing.T) {
 	pts := []SweepPoint{
 		{Label: "power-off", SeedBase: 7000, Cfg: TrialConfig{
-			Interval: 36, Payload: PayloadPowerOff, MaxAttempts: 40, SimBudget: 20 * sim.Second,
+			Interval: 36, Payload: PayloadPowerOff, Injector: injectable.InjectorConfig{MaxAttempts: 40}, SimBudget: 20 * sim.Second,
 		}},
 		{Label: "terminate", SeedBase: 7100, Cfg: TrialConfig{
-			Interval: 36, Payload: PayloadTerminate, MaxAttempts: 40, SimBudget: 20 * sim.Second,
+			Interval: 36, Payload: PayloadTerminate, Injector: injectable.InjectorConfig{MaxAttempts: 40}, SimBudget: 20 * sim.Second,
 		}},
 	}
 	run := func(parallel int) []CounterfactualOutcome {
@@ -60,7 +61,7 @@ func TestCounterfactualCampaignDeterministic(t *testing.T) {
 			}
 			outs = append(outs, r.Value.(CounterfactualOutcome))
 		})
-		if _, err := opts.runner(collect).Run(counterfactualSpec(opts, pts)); err != nil {
+		if _, err := opts.runner(collect).Run(counterfactualSpec(opts, "counterfactual", pts)); err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
 		return outs

@@ -109,7 +109,7 @@ func WideningReduction(opts Options) ([]WideningReductionOutcome, error) {
 // scaledConfig is the widening-reduction world: the bulb's receive window
 // scaled, the central at Hop Interval 36, at most 60 injection attempts.
 func scaledConfig(seed uint64, scale float64) TrialConfig {
-	return TrialConfig{Seed: seed, WideningScale: scale, MaxAttempts: 60}.WithDefaults()
+	return TrialConfig{Seed: seed, WideningScale: scale, Injector: injectable.InjectorConfig{MaxAttempts: 60}}.WithDefaults()
 }
 
 // runScaledTrial is one injection trial with a widening-scaled slave.

@@ -6,8 +6,10 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"injectable/internal/injectable"
 	"injectable/internal/medium"
 	"injectable/internal/phy"
+	"injectable/internal/sim"
 )
 
 // TestDeterminismIndependentOfGCAndWorkers is the regression fence for the
@@ -18,7 +20,7 @@ import (
 // timing or work stealing would perturb these bytes.
 func TestDeterminismIndependentOfGCAndWorkers(t *testing.T) {
 	render := func(parallel int) string {
-		exp, err := Experiment1HopInterval(Options{TrialsPerPoint: 2, Parallel: parallel})
+		exp, err := RunSweep("exp1", Options{TrialsPerPoint: 2, Parallel: parallel})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
@@ -63,11 +65,9 @@ func TestDeterminismIndependentOfGCAndWorkers(t *testing.T) {
 // worker count. Any divergence indicts snapshot capture/restore or stream
 // rekeying, with the failing dimension naming the state that escaped.
 func TestForkDeterminismMatrix(t *testing.T) {
-	bulb, central, attacker := trianglePositions()
 	base := TrialConfig{
 		Interval: 36, Payload: PayloadPowerOff,
-		BulbPos: bulb, CentralPos: central, AttackerPos: attacker,
-		MaxAttempts: 40,
+		Injector: injectable.InjectorConfig{MaxAttempts: 40},
 	}
 	configs := []struct {
 		name string
@@ -80,7 +80,7 @@ func TestForkDeterminismMatrix(t *testing.T) {
 		}},
 		{"phone-grade", func() TrialConfig {
 			c := base
-			c.PhoneGrade = true
+			c.CentralPPM, c.CentralJitter = 50, 8*sim.Microsecond
 			return c
 		}},
 		{"wall", func() TrialConfig {
@@ -121,7 +121,7 @@ func TestForkDeterminismMatrix(t *testing.T) {
 					NDJSON:         &nd,
 					Metrics:        &mt,
 				}
-				if _, err := runSweep(opts, "fork-determinism", pts); err != nil {
+				if _, err := RunSweepPoints(opts, "fork-determinism", pts); err != nil {
 					t.Fatalf("%s parallel=%d: %v", mode, parallel, err)
 				}
 				return nd.String(), mt.String()

@@ -10,7 +10,7 @@ import (
 const testTrials = 8
 
 func TestExperiment1HopIntervalShape(t *testing.T) {
-	exp, err := Experiment1HopInterval(Options{TrialsPerPoint: testTrials})
+	exp, err := RunSweep("exp1", Options{TrialsPerPoint: testTrials})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestExperiment1HopIntervalShape(t *testing.T) {
 		if p.Series.Failures > 0 {
 			t.Errorf("interval %s: %d failed injections — paper: always succeeds", p.Label, p.Series.Failures)
 		}
-		if m := p.Series.Stats.Median(); m > 8 {
+		if m := p.Series.Stats.Median(); m >= 4 {
 			t.Errorf("interval %s: median %v attempts — paper reports < 4", p.Label, m)
 		}
 	}
@@ -29,7 +29,7 @@ func TestExperiment1HopIntervalShape(t *testing.T) {
 }
 
 func TestExperiment2PayloadSizeShape(t *testing.T) {
-	exp, err := Experiment2PayloadSize(Options{TrialsPerPoint: testTrials})
+	exp, err := RunSweep("exp2", Options{TrialsPerPoint: testTrials})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestExperiment2PayloadSizeShape(t *testing.T) {
 }
 
 func TestExperiment3DistanceShape(t *testing.T) {
-	exp, err := Experiment3Distance(Options{TrialsPerPoint: testTrials})
+	exp, err := RunSweep("exp3", Options{TrialsPerPoint: testTrials})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestExperiment3DistanceShape(t *testing.T) {
 }
 
 func TestExperiment3WallShape(t *testing.T) {
-	exp, err := Experiment3Wall(Options{TrialsPerPoint: testTrials})
+	exp, err := RunSweep("exp3wall", Options{TrialsPerPoint: testTrials})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestExperiment3WallShape(t *testing.T) {
 
 func TestWallCostsMoreAttemptsThanOpenAir(t *testing.T) {
 	// Cross-experiment shape: at the same distance the wall adds attempts.
-	open, err := Experiment3Distance(Options{TrialsPerPoint: testTrials})
+	open, err := RunSweep("exp3", Options{TrialsPerPoint: testTrials})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wall, err := Experiment3Wall(Options{TrialsPerPoint: testTrials})
+	wall, err := RunSweep("exp3wall", Options{TrialsPerPoint: testTrials})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestGATTackerBaselineOnlyPreConnection(t *testing.T) {
 }
 
 func TestAblationCaptureModel(t *testing.T) {
-	exp, err := AblationCaptureModel(Options{TrialsPerPoint: 5})
+	exp, err := RunSweep("ablation-capture", Options{TrialsPerPoint: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestAblationCaptureModel(t *testing.T) {
 }
 
 func TestAblationTiming(t *testing.T) {
-	exp, err := AblationInjectionTiming(Options{TrialsPerPoint: 5})
+	exp, err := RunSweep("ablation-timing", Options{TrialsPerPoint: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestIDSValidationRates(t *testing.T) {
 }
 
 func TestAblationAdaptiveGuard(t *testing.T) {
-	exp, err := AblationAdaptiveGuard(Options{TrialsPerPoint: 5})
+	exp, err := RunSweep("ablation-guard", Options{TrialsPerPoint: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

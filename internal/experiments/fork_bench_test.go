@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"injectable/internal/injectable"
 	"injectable/internal/sim"
 )
 
@@ -16,7 +17,7 @@ func benchCfg() TrialConfig {
 	// A decided injection ends at the next 250 ms slice boundary, so the
 	// budget does not bound these trials; it caps only one whose effect
 	// never shows. 2 s still covers the full MaxAttempts race with margin.
-	return TrialConfig{Interval: 36, MaxAttempts: 40, SimBudget: 2 * sim.Second}
+	return TrialConfig{Interval: 36, Injector: injectable.InjectorConfig{MaxAttempts: 40}, SimBudget: 2 * sim.Second}
 }
 
 // BenchmarkTrialForked is the fast path: one warm world, every iteration

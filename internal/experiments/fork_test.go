@@ -9,14 +9,14 @@ import (
 	"testing"
 
 	"injectable/internal/campaign"
-
+	"injectable/internal/injectable"
 	"injectable/internal/obs"
 	"injectable/internal/sim"
 )
 
 // shortCfg keeps fork unit tests fast: few attempts, small budget.
 func shortCfg() TrialConfig {
-	return TrialConfig{Interval: 36, MaxAttempts: 40}
+	return TrialConfig{Interval: 36, Injector: injectable.InjectorConfig{MaxAttempts: 40}}
 }
 
 // instrumented returns cfg with a hub of its own: the warm world of a

@@ -141,21 +141,14 @@ func TestScenarioAForensicsGolden(t *testing.T) {
 // stream to be byte-identical — the property that makes the export
 // usable as a regression artifact.
 func TestCampaignMetricsDeterministicAcrossWorkers(t *testing.T) {
-	bulb, central, attacker := trianglePositions()
 	sweep := func(parallel int) []byte {
 		var buf bytes.Buffer
 		opts := Options{TrialsPerPoint: 2, SeedBase: 4000, Parallel: parallel, Metrics: &buf}
 		pts := []SweepPoint{
-			{Label: "hi25", SeedBase: 4000, Cfg: TrialConfig{
-				Interval: 25, Payload: PayloadPowerOff,
-				BulbPos: bulb, CentralPos: central, AttackerPos: attacker,
-			}},
-			{Label: "hi50", SeedBase: 5000, Cfg: TrialConfig{
-				Interval: 50, Payload: PayloadPowerOff,
-				BulbPos: bulb, CentralPos: central, AttackerPos: attacker,
-			}},
+			{Label: "hi25", SeedBase: 4000, Cfg: TrialConfig{Interval: 25, Payload: PayloadPowerOff}},
+			{Label: "hi50", SeedBase: 5000, Cfg: TrialConfig{Interval: 50, Payload: PayloadPowerOff}},
 		}
-		if _, err := runSweep(opts, "obs-determinism", pts); err != nil {
+		if _, err := RunSweepPoints(opts, "obs-determinism", pts); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -8,79 +8,13 @@ import (
 	"injectable/internal/campaign"
 )
 
-// This file is the servable-campaign registry: every multi-trial study in
-// the package, addressable by name, expressed as a campaign.Spec whose
-// trial functions return JSON-marshalable values. The serving daemon
-// (internal/serve) builds its job registry from these entry points, so a
-// queued daemon job runs the exact campaign — same names, same per-point
-// seed bases, same trial functions — as the corresponding CLI sweep, and
-// their deterministic NDJSON streams are byte-identical.
-
-// sweepDef binds a servable sweep name to its campaign id and points.
-type sweepDef struct {
-	id  string
-	pts func(Options) []SweepPoint
-}
-
-// sweepDefs lists every parameter sweep servable by name.
-func sweepDefs() map[string]sweepDef {
-	return map[string]sweepDef{
-		"exp1":             {"fig9-exp1", exp1Points},
-		"exp2":             {"fig9-exp2", exp2Points},
-		"exp3":             {"fig9-exp3", exp3Points},
-		"exp3wall":         {"fig9-exp3wall", exp3WallPoints},
-		"ablation-capture": {"ablation-capture", ablationCapturePoints},
-		"ablation-sca":     {"ablation-sca", ablationSCAPoints},
-		"ablation-timing":  {"ablation-timing", ablationTimingPoints},
-		"ablation-guard":   {"ablation-guard", ablationGuardPoints},
-		"heuristic":        {"heuristic-validation", heuristicPoints},
-	}
-}
-
-// counterfactualName is the one servable study that is not a plain
-// RunTrial sweep: its trials return CounterfactualOutcome values and its
-// points carry fork warmups, so the registry special-cases it rather than
-// forcing it through BuildSweep.
-const counterfactualName = "counterfactual"
-
-// SweepNames lists the servable sweeps in sorted order.
-func SweepNames() []string {
-	defs := sweepDefs()
-	names := make([]string, 0, len(defs)+1)
-	for name := range defs {
-		names = append(names, name)
-	}
-	names = append(names, counterfactualName)
-	sort.Strings(names)
-	return names
-}
-
-// SweepSpec builds the campaign spec for a named sweep. The spec is
-// identical to the one the Experiment* entry points run, so executing it
-// with a campaign runner reproduces the CLI's per-trial results exactly.
-// When opts carries a point range, only that slice of the sweep's points
-// is expanded; the sliced trials are bit-identical to the corresponding
-// points of the full sweep because every point's seed base is absolute.
-func SweepSpec(name string, opts Options) (*campaign.Spec, error) {
-	if name == counterfactualName {
-		opts.applyDefaults()
-		pts, err := SlicePoints(name, counterfactualPoints(opts), opts.PointStart, opts.PointCount)
-		if err != nil {
-			return nil, err
-		}
-		return counterfactualSpec(opts, pts), nil
-	}
-	def, ok := sweepDefs()[name]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown sweep %q", name)
-	}
-	opts.applyDefaults()
-	pts, err := SlicePoints(name, def.pts(opts), opts.PointStart, opts.PointCount)
-	if err != nil {
-		return nil, err
-	}
-	return BuildSweep(opts, def.id, pts), nil
-}
+// This file is the servable-campaign registry: the attack scenarios, and
+// the point-range helper they share with the catalog's sweeps
+// (catalog.go). The serving daemon (internal/serve) builds its job
+// registry from SweepSpec and ScenarioSpec, so a queued daemon job runs
+// the exact campaign — same names, same per-point seed bases, same trial
+// functions — as the corresponding CLI run, and their deterministic
+// NDJSON streams are byte-identical.
 
 // SlicePoints bounds-checks and applies a point range: [start, start+count)
 // with count 0 meaning "through the end". (0, 0) returns pts unchanged.

@@ -184,14 +184,22 @@ func TestRunForDecidedSpanIgnoresLateCancel(t *testing.T) {
 	}
 }
 
-// fig9Trial is exp1's first point (Hop Interval 25) at its first seed,
-// with the default 120 s budget.
-func fig9Trial() TrialConfig {
-	sp := exp1Points(Options{}.WithDefaults())[0]
-	cfg := sp.Cfg
-	cfg.Seed = sp.SeedBase
+// catalogTrial is point i of a catalog sweep at its first seed under the
+// default seed base.
+func catalogTrial(name string, i int) TrialConfig {
+	opts := Options{}
+	_, pts, err := catalogSweep(name, &opts)
+	if err != nil {
+		panic(err)
+	}
+	cfg := pts[i].Cfg
+	cfg.Seed = pts[i].SeedBase
 	return cfg
 }
+
+// fig9Trial is exp1's first point (Hop Interval 25) at its first seed,
+// with the default 120 s budget.
+func fig9Trial() TrialConfig { return catalogTrial("exp1", 0) }
 
 // decidedSpan bounds how long a decided Fig. 9 trial may simulate: the
 // injection settles within a few connection events, so a trial that gets
@@ -258,11 +266,10 @@ func TestRunForkStopsOnceDecidedWithUnchangedForensics(t *testing.T) {
 // count covers the whole budget), and the goals whose results read the
 // world's end-of-budget state.
 func TestFullBudgetWhenUndecided(t *testing.T) {
-	frozen := ablationGuardPoints(Options{}.WithDefaults())[1]
-	if frozen.Label != "frozen" {
-		t.Fatalf("ablation-guard point 1 is %q, want frozen", frozen.Label)
+	frozen := catalogTrial("ablation-guard", 1)
+	if !frozen.Injector.DisableAdaptiveGuard {
+		t.Fatal("ablation-guard point 1 is not the frozen guard")
 	}
-	frozen.Cfg.Seed = frozen.SeedBase
 	short := func(mut func(*TrialConfig)) TrialConfig {
 		cfg := fig9Trial()
 		cfg.SimBudget = 4 * sim.Second
@@ -273,7 +280,7 @@ func TestFullBudgetWhenUndecided(t *testing.T) {
 		name string
 		cfg  TrialConfig
 	}{
-		{"ablation-guard/frozen", frozen.Cfg},
+		{"ablation-guard/frozen", frozen},
 		{"ids", short(func(c *TrialConfig) { c.IDS = true })},
 		{GoalNone, short(func(c *TrialConfig) { c.Goal = GoalNone })},
 		{GoalUpdate, short(func(c *TrialConfig) { c.Goal = GoalUpdate })},

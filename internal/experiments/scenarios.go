@@ -237,11 +237,11 @@ func scenarioD(target string, seed uint64, withIDS bool, inst Instrumentation) (
 // return, failed hijacks included.
 func scenarioKeystrokes(_ string, seed uint64, withIDS bool, inst Instrumentation) (out ScenarioOutcome, err error) {
 	w := host.NewWorld(host.WorldConfig{Seed: seed, Tracer: inst.Tracer, Obs: inst.Obs})
-	bulbPos, centralPos, attackerPos := trianglePositions()
-	fob := devices.NewKeyfob(w.NewDevice(host.DeviceConfig{Name: "keyfob", Position: bulbPos}))
-	computer := devices.NewComputer(w.NewDevice(host.DeviceConfig{Name: "laptop", Position: centralPos}))
+	tri := TrialConfig{}.WithDefaults()
+	fob := devices.NewKeyfob(w.NewDevice(host.DeviceConfig{Name: "keyfob", Position: tri.BulbPos}))
+	computer := devices.NewComputer(w.NewDevice(host.DeviceConfig{Name: "laptop", Position: tri.CentralPos}))
 	atk := w.NewDevice(host.DeviceConfig{
-		Name: "attacker", Position: attackerPos,
+		Name: "attacker", Position: tri.AttackerPos,
 		ClockPPM: 20, ClockJitter: 500 * sim.Nanosecond,
 	})
 	attacker := injectable.NewAttacker(atk.Stack, injectable.InjectorConfig{})
@@ -340,27 +340,27 @@ func ScenarioTable(title string, outcomes []ScenarioOutcome) *Table {
 	return t
 }
 
-// Fig8Topology renders the experimental setup of Fig. 8 as text.
+// Fig8Topology renders the experimental setup of Fig. 8 as text: the
+// default triangle, and exp3's attacker positions.
 func Fig8Topology() *Table {
-	bulb, central, attacker := trianglePositions()
+	tri := TrialConfig{}.WithDefaults()
 	t := &Table{
 		Title:  "fig8 — experimental setup",
 		Header: []string{"device", "position", "role"},
 		Rows: [][]string{
-			{"peripheral (bulb)", bulb.String(), "slave / injection target"},
-			{"central (phone)", central.String(), "master, 2 m from peripheral"},
-			{"attacker", attacker.String(), "equilateral triangle, 2 m edges"},
+			{"peripheral (bulb)", tri.BulbPos.String(), "slave / injection target"},
+			{"central (phone)", tri.CentralPos.String(), "master, 2 m from peripheral"},
+			{"attacker", tri.AttackerPos.String(), "equilateral triangle, 2 m edges"},
 		},
 		Notes: []string{
 			"experiment 3 moves the attacker to (-d, 0) for d in {1,2,4,6,8,10} m (positions A–F)",
 			"the wall variant adds a 7 dB wall at x = -0.5 m",
 		},
 	}
-	for _, d := range []float64{1, 2, 4, 6, 8, 10} {
-		_, _, atk := distancePositions(d)
+	for _, p := range sweepEntry("exp3").points {
+		atk := p.Cfg.AttackerPos
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("attacker pos %c", 'A'+int(map[float64]int{1: 0, 2: 1, 4: 2, 6: 3, 8: 4, 10: 5}[d])),
-			atk.String(), fmt.Sprintf("%g m from peripheral", d),
+			"attacker pos " + p.Label[:1], atk.String(), fmt.Sprintf("%g m from peripheral", -atk.X),
 		})
 	}
 	return t

@@ -109,15 +109,11 @@ type TrialConfig struct {
 	BulbPos, CentralPos, AttackerPos phy.Position
 	// Walls adds obstacles (exp. 3, wall variant).
 	Walls []phy.Wall
-	// PhoneGrade gives the central a phone-grade sloppy clock instead of
-	// a dedicated controller (the paper's exp. 3 uses a smartphone).
-	PhoneGrade bool
 	// Capture overrides the collision model (ablation).
 	Capture medium.CaptureModel
-	// Injector tunes the attack (ablation).
+	// Injector tunes the attack (ablation); its MaxAttempts bounds the
+	// injection (0 = 200).
 	Injector injectable.InjectorConfig
-	// MaxAttempts bounds the injection (0 = 200).
-	MaxAttempts int
 	// SimBudget bounds virtual time (0 = 120 s). It is an upper bound: an
 	// inject-goal trial ends at the first 250 ms slice boundary where the
 	// injector has reported and the ground-truth effect has shown, unless
@@ -167,7 +163,6 @@ type TrialConfig struct {
 	ActivityMS int
 	// TargetPPM/TargetJitter and CentralPPM/CentralJitter override the
 	// victim's and central's sleep-clock model (0 = the stack default).
-	// CentralPPM/CentralJitter take precedence over PhoneGrade.
 	TargetPPM     float64
 	TargetJitter  sim.Duration
 	CentralPPM    float64
@@ -243,7 +238,9 @@ type TrialResult struct {
 // WithDefaults returns cfg with every zero knob filled in. All entry
 // points (fresh, warm-fresh and fork-based execution, and the invariant
 // swarm) normalise through here so a configuration means the same trial
-// everywhere.
+// everywhere. Zero positions place the devices on the paper's
+// equilateral triangle with 2 m edges (Fig. 8 left): bulb at the origin,
+// central at (2, 0), attacker at (1, 1.732).
 func (cfg TrialConfig) WithDefaults() TrialConfig {
 	if cfg.Interval == 0 {
 		cfg.Interval = 36
@@ -259,9 +256,6 @@ func (cfg TrialConfig) WithDefaults() TrialConfig {
 	}
 	if cfg.SimBudget == 0 {
 		cfg.SimBudget = 120 * sim.Second
-	}
-	if cfg.MaxAttempts != 0 {
-		cfg.Injector.MaxAttempts = cfg.MaxAttempts
 	}
 	return cfg
 }
@@ -334,18 +328,9 @@ func BuildTrialWorld(cfg TrialConfig, inst Instrumentation) (*TrialWorld, error)
 	if centralName == "" {
 		centralName = "central"
 	}
-	centralCfg := host.DeviceConfig{Name: centralName, Position: cfg.CentralPos}
-	if cfg.PhoneGrade {
-		// Phones run BLE from a busy SoC: looser sleep clock and more
-		// scheduling jitter than a dedicated controller.
-		centralCfg.ClockPPM = 50
-		centralCfg.ClockJitter = 8 * sim.Microsecond
-	}
-	if cfg.CentralPPM != 0 {
-		centralCfg.ClockPPM = cfg.CentralPPM
-	}
-	if cfg.CentralJitter != 0 {
-		centralCfg.ClockJitter = cfg.CentralJitter
+	centralCfg := host.DeviceConfig{
+		Name: centralName, Position: cfg.CentralPos,
+		ClockPPM: cfg.CentralPPM, ClockJitter: cfg.CentralJitter,
 	}
 	var chMap ble.ChannelMap
 	for ch := 0; ch < cfg.UnusedChans; ch++ {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 
 	"injectable/internal/obs"
@@ -15,15 +16,33 @@ import (
 )
 
 // startObsWorkers boots n worker daemons, each with its own hub, and
-// returns base URLs plus the hubs for direct snapshot comparison.
-func startObsWorkers(t *testing.T, n int) ([]string, []*obs.Hub) {
+// returns base URLs plus the hubs for direct snapshot comparison. With
+// spread set, each worker holds its first /v1/run until every worker has
+// one: otherwise the worker whose dispatch loop starts first can take
+// every shard, and the others' trace lanes stay empty.
+func startObsWorkers(t *testing.T, n int, spread bool) ([]string, []*obs.Hub) {
 	t.Helper()
 	urls := make([]string, n)
 	hubs := make([]*obs.Hub, n)
+	var firstRuns sync.WaitGroup
+	firstRuns.Add(n)
 	for i := range urls {
 		hubs[i] = obs.NewHub()
 		srv := serve.NewServer(serve.Config{QueueCap: 32, JobWorkers: 1, TrialWorkers: 2, Hub: hubs[i]})
-		hs := httptest.NewServer(srv.Handler())
+		h := srv.Handler()
+		if spread {
+			var first sync.Once
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/run" {
+					first.Do(func() {
+						firstRuns.Done()
+						firstRuns.Wait()
+					})
+				}
+				srv.Handler().ServeHTTP(w, r)
+			})
+		}
+		hs := httptest.NewServer(h)
 		t.Cleanup(hs.Close)
 		t.Cleanup(srv.Close)
 		urls[i] = hs.URL
@@ -36,7 +55,7 @@ func startObsWorkers(t *testing.T, n int) ([]string, []*obs.Hub) {
 // obs.Snapshot.Merge over the workers' own snapshots — the aggregator
 // adds scraping and transport, never arithmetic.
 func TestFleetSnapshotEqualsWorkerMerge(t *testing.T) {
-	workers, hubs := startObsWorkers(t, 2)
+	workers, hubs := startObsWorkers(t, 2, false)
 	st := NewStatus()
 	var merged bytes.Buffer
 	if _, err := Run(context.Background(), Config{
@@ -77,7 +96,7 @@ func TestFleetSnapshotEqualsWorkerMerge(t *testing.T) {
 // phases and healthy workers; /metrics?format=prom passes the strict
 // parser.
 func TestFleetStatusSurface(t *testing.T) {
-	workers, _ := startObsWorkers(t, 2)
+	workers, _ := startObsWorkers(t, 2, false)
 	st := NewStatus()
 	hub := obs.NewHub()
 	var merged bytes.Buffer
@@ -156,7 +175,7 @@ func getJSON(t *testing.T, url string, out any) {
 // to a serial single-process run.
 func TestFleetPlaneDoesNotChangeBytes(t *testing.T) {
 	want := serialStream(t)
-	workers, _ := startObsWorkers(t, 2)
+	workers, _ := startObsWorkers(t, 2, false)
 	var log bytes.Buffer
 	var merged bytes.Buffer
 	if _, err := Run(context.Background(), Config{
@@ -179,7 +198,7 @@ func TestFleetPlaneDoesNotChangeBytes(t *testing.T) {
 // Chrome trace holds the same campaign's spans across the coordinator
 // lane and both worker lanes, all under the plan's canonical hash.
 func TestFleetTraceCrossProcess(t *testing.T) {
-	workers, _ := startObsWorkers(t, 2)
+	workers, _ := startObsWorkers(t, 2, true)
 	hub := obs.NewHub()
 	p := plan(t, 0)
 	var merged bytes.Buffer
@@ -245,7 +264,7 @@ func TestFleetTraceCrossProcess(t *testing.T) {
 // TestAggregatorSurvivesDeadWorker: a scrape failure marks the worker
 // unhealthy but keeps its previous snapshot in the fleet view.
 func TestAggregatorSurvivesDeadWorker(t *testing.T) {
-	workers, hubs := startObsWorkers(t, 1)
+	workers, hubs := startObsWorkers(t, 1, false)
 	hubs[0].Reg().Counter("serve.jobs_done").Inc()
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusInternalServerError)

@@ -182,7 +182,7 @@ func TrialConfig(s Spec) (experiments.TrialConfig, error) {
 		cfg.Payload = p
 		cfg.AttackerPos = position(a.Pos)
 		cfg.GoalDelay = sim.Duration(a.DelayMS) * sim.Millisecond
-		cfg.MaxAttempts = a.MaxAttempts
+		cfg.Injector.MaxAttempts = a.MaxAttempts
 		cfg.Injector.AssumedSlavePPM = a.AssumedSlavePPM
 		cfg.Injector.MaxLead = usDuration(a.MaxLeadUS)
 		cfg.Injector.InjectAtWindowCenter = a.WindowCenter

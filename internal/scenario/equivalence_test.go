@@ -39,25 +39,71 @@ func runStreams(t *testing.T, spec *campaign.Spec) ([]byte, []byte) {
 	return nd.Bytes(), bin.Bytes()
 }
 
-// TestExampleSpecsMatchCatalog is the DSL ground-truth anchor: the
-// committed example specs transcribe two catalog studies, and their
-// compiled campaigns must produce byte-identical NDJSON and binary
-// streams — same worlds, same seeds, same labels, same header.
+// exp3Spec transcribes the catalog's exp3: a smartphone central (50 ppm,
+// 8 µs jitter) and the attacker at positions A–F across the bulb.
+const exp3Spec = `{
+  "version": 1,
+  "name": "fig9-exp3",
+  "seed": {"offset": 20000},
+  "devices": [
+    {"type": "phone", "pos": {"x": 2}, "clock_ppm": 50, "clock_jitter_us": 8},
+    {"type": "lightbulb"}
+  ],
+  "sweep": [
+    {"field": "attacker.pos.x", "values": [-1, -2, -4, -6, -8, -10],
+     "labels": ["A:1m", "B:2m", "C:4m", "D:6m", "E:8m", "F:10m"]}
+  ]
+}`
+
+// exp3WallSpec transcribes exp3wall: exp3's world with a wall at
+// x = -0.5 m between the bulb and the attacker.
+const exp3WallSpec = `{
+  "version": 1,
+  "name": "fig9-exp3wall",
+  "seed": {"offset": 30000},
+  "devices": [
+    {"type": "phone", "pos": {"x": 2}, "clock_ppm": 50, "clock_jitter_us": 8},
+    {"type": "lightbulb"}
+  ],
+  "walls": [{"a": {"x": -0.5, "y": -10}, "b": {"x": -0.5, "y": 10}}],
+  "sweep": [
+    {"field": "attacker.pos.x", "values": [-2, -4, -6, -8],
+     "labels": ["2m+wall", "4m+wall", "6m+wall", "8m+wall"]}
+  ]
+}`
+
+// TestExampleSpecsMatchCatalog is the DSL ground-truth anchor: specs
+// transcribing four catalog studies compile to campaigns that produce
+// byte-identical NDJSON and binary streams — same worlds, same seeds,
+// same labels, same header. Two are the committed examples; exp3 and
+// exp3wall stay inline, out of examples/scenarios/, whose files perfbench
+// replays and the stream digest manifest pins.
 func TestExampleSpecsMatchCatalog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full sweep simulations")
 	}
 	cases := []struct {
-		file    string
+		name    string // the example file, or the inline spec's catalog name
+		inline  string // "" = load examples/scenarios/<name>
 		catalog string
 	}{
-		{"exp1.json", "exp1"},
-		{"ablation-sca.json", "ablation-sca"},
+		{"exp1.json", "", "exp1"},
+		{"ablation-sca.json", "", "ablation-sca"},
+		{"exp3", exp3Spec, "exp3"},
+		{"exp3wall", exp3WallSpec, "exp3wall"},
 	}
 	opts := experiments.Options{TrialsPerPoint: 2, SeedBase: 1000}
 	for _, tc := range cases {
-		t.Run(tc.file, func(t *testing.T) {
-			sp := loadExample(t, tc.file)
+		t.Run(tc.name, func(t *testing.T) {
+			var sp scenario.Spec
+			if tc.inline == "" {
+				sp = loadExample(t, tc.name)
+			} else {
+				var err error
+				if sp, err = scenario.DecodeSpec([]byte(tc.inline)); err != nil {
+					t.Fatal(err)
+				}
+			}
 			dsl, err := scenario.Compile(sp, opts)
 			if err != nil {
 				t.Fatal(err)
